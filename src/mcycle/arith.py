@@ -692,7 +692,8 @@ def quad_solve(A, B, C) -> QuadPair:
 
 def recognize_algebraic(x: BigReal, max_degree: int, coeff_bound: int) -> Optional[UniPoly]:
     """Search for a primitive integer polynomial p, deg <= max_degree and
-    |coefficients| <= coeff_bound, with |p(x)| < 10^-(digits-10).
+    |coefficients| <= coeff_bound, with |p(x)| < 10^-(digits-10) times the
+    largest term |c_i x^i|.
 
     Integer-relation (PSLQ) over the powers 1, x, ..., x^d, degree ascending,
     so ties break toward least degree. Deterministic for fixed inputs.
@@ -722,8 +723,10 @@ def recognize_algebraic(x: BigReal, max_degree: int, coeff_bound: int) -> Option
                 continue
             if all(c == 0 for c in rel) or max(abs(c) for c in rel) > coeff_bound:
                 continue
-            residual = abs(mp.fsum(c * p for c, p in zip(rel, powers)))
-            if residual >= threshold:
+            # relative to the largest term, so that a monomial relation
+            # c*x^d (residual = its only term) never certifies a nonzero x
+            terms = [c * p for c, p in zip(rel, powers)]
+            if abs(mp.fsum(terms)) > threshold * max(abs(t) for t in terms):
                 continue
             g = 0
             for c in rel:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -30,13 +31,12 @@ from .kummer import (
     build_config,
     bw_cases,
     h4_h8_factors,
+    h5_points,
     hecke_components,
     humbert5_conic,
     humbert5_discriminant,
 )
 from .geometry import conic_through_5
-from .kummer import _qpoint
-from .arith import as_quadval
 from .nslattice import NSClass, cm_cycle, humbert_norm, ns_pair
 from . import verify as verify_mod
 
@@ -95,14 +95,7 @@ def _cmd_humbert(args) -> int:
 def _cmd_conic(args) -> int:
     p = _parse_params(args.params)
     if args.method == "det":
-        pts = [
-            _qpoint(p.a1, p.a2),
-            _qpoint(p.a2, p.a3),
-            _qpoint(p.a3, as_quadval(0)),
-            _qpoint(as_quadval(0), as_quadval(1)),
-            _qpoint(as_quadval(1), p.a1),
-        ]
-        conic = conic_through_5(pts)
+        conic = conic_through_5(h5_points(p))
     else:
         conic = humbert5_conic(p)
     return _emit({
@@ -135,13 +128,19 @@ def _cmd_regulator(args) -> int:
     })
 
 
+def _error_payload(exc: Exception) -> dict:
+    if isinstance(exc, McycleError):
+        return exc.payload()
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
 def _sweep_worker(item):
     idx, a1, a3, precision, recognize = item
     try:
         res = regulator_h4(Fraction(a1), Fraction(a3), precision, recognize)
         return idx, {"a1": a1, "a3": a3, "result": res.to_json()}
-    except McycleError as exc:
-        return idx, {"a1": a1, "a3": a3, "error": exc.payload()}
+    except (McycleError, ValueError, ZeroDivisionError) as exc:
+        return idx, {"a1": a1, "a3": a3, "error": _error_payload(exc)}
 
 
 def _cmd_regulator_sweep(args) -> int:
@@ -219,10 +218,12 @@ def _cmd_greens(args) -> int:
                            precision=args.precision)
         with open(args.boundary) as fh:
             data = json.load(fh)
-        boundary = [
-            (_parse_uh(item["tau"]), rat_from_str(str(item["a"])))
-            for item in data["points"]
-        ]
+        try:
+            boundary = [(_parse_uh(item["tau"]), rat_from_str(str(item["a"])))
+                        for item in data["points"]]
+        except (KeyError, TypeError) as exc:
+            raise McycleError('boundary file must hold {"points": '
+                              '[{"tau": "RE,IM", "a": "p/q"}, ...]}') from exc
         rep = cross_check(res, boundary, _parse_uh(args.y), pol)
         return _emit({"meta": meta, "report": rep})
     raise McycleError("unknown greens subcommand")
@@ -249,8 +250,19 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token with a leading minus and a digit, such as -9/4 or
+    -1/2,2, as a value rather than an option, so negative rationals can be
+    passed as separate arguments."""
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-\.?\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mcycle", description=__doc__)
+    ap = _Parser(prog="mcycle", description=__doc__)
     default_prec = _default_precision()
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -360,14 +372,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except McycleError as exc:
-        json.dump({"error": exc.payload()}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 1
-    except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
-        json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                  sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    except (McycleError, ValueError, ZeroDivisionError, OSError) as exc:
+        _emit({"error": _error_payload(exc)})
         return 1
 
 

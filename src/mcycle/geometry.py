@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Union
 
 from .arith import QuadVal, as_quadval, quad_solve
@@ -26,12 +27,19 @@ def _vec3(coords) -> tuple[QuadVal, QuadVal, QuadVal]:
 
 
 def _proportional(u, v) -> bool:
-    """Projective equality of coordinate triples/sextuples via cross ratios."""
-    for i in range(len(u)):
-        for j in range(len(v)):
-            if (u[i] * v[j] - u[j] * v[i]).is_zero() is False:
-                return False
-    return True
+    """Projective equality of coordinate triples/sextuples: every 2x2 minor
+    u_i v_j - u_j v_i with i < j vanishes."""
+    return all((u[i] * v[j] - u[j] * v[i]).is_zero()
+               for i, j in combinations(range(len(u)), 2))
+
+
+def _canonical(v: tuple) -> tuple:
+    """Scale so the first nonzero entry is 1: equal up to scale means equal,
+    so hashing this agrees with projective ==."""
+    for c in v:
+        if not c.is_zero():
+            return tuple(x / c for x in v)
+    raise ValueError("zero vector")
 
 
 @dataclass(frozen=True)
@@ -51,14 +59,11 @@ class ProjPoint:
         return _proportional(self.coords, other.coords)
 
     def __hash__(self):
-        return hash(self.canonical().coords)
+        return hash(_canonical(self.coords))
 
     def canonical(self) -> "ProjPoint":
         """Scale so the first nonzero coordinate is 1."""
-        for c in self.coords:
-            if not c.is_zero():
-                return ProjPoint(tuple(x / c for x in self.coords))
-        raise ValueError("zero point")
+        return ProjPoint(_canonical(self.coords))
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.coords]
@@ -82,7 +87,7 @@ class ProjLine:
         return _proportional(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash(tuple(str(c) for c in self.coeffs))
+        return hash(_canonical(self.coeffs))
 
     def eval_at(self, p: ProjPoint) -> QuadVal:
         a, b, c = self.coeffs
@@ -128,7 +133,7 @@ class Conic:
         return _proportional(self.p, other.p)
 
     def __hash__(self):
-        return hash(tuple(str(c) for c in self.p))
+        return hash(_canonical(self.p))
 
     def eval_at(self, pt: ProjPoint) -> QuadVal:
         p1, p2, p3, p4, p5, p6 = self.p

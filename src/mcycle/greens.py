@@ -6,7 +6,11 @@ Laplace integral with an explicit truncation point). The lattice sums use a
 float64 fast path: exact-coefficient closed forms of Q_n below t = 2 and the
 all-positive hypergeometric series above (validated against the quadrature to
 better than 1e-11 relative), accumulated with math.fsum over a canonical
-enumeration order, so identical inputs give bit-identical output. Truncation
+enumeration order, so identical inputs give bit-identical output. green_k
+(PSL2(Z), determinant 1) and green_det_m_direct share one cached enumerator of
+integer matrices of determinant m and one evaluate-and-budget path; Hecke
+translates, principal-part combinations and the regulator cross-check combine
+GreensValues through one weighted sum. Truncation
 dominates the error budget; the tail estimate is the outer-shell mass
 |sum(N) - sum(N/2)|, which over-covers the true remainder under the observed
 geometric shell decay.
@@ -17,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -268,96 +273,91 @@ def apply_matrix(m: tuple, z: UHPoint) -> UHPoint:
 
 
 # ---------------------------------------------------------------------------
-# PSL2(Z) enumeration
+# determinant-m enumeration (PSL2(Z) is m = 1)
 # ---------------------------------------------------------------------------
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+def _t_range(x0: int, step: int, bound: int) -> tuple[int, int]:
+    """(lo, hi) such that |x0 + t*step| <= bound exactly for lo <= t <= hi;
+    step != 0."""
+    if step < 0:
+        x0, step = -x0, -step
+    return -((bound + x0) // step), (bound - x0) // step
 
 
-def _floor_div(p: int, q: int) -> int:
-    return p // q  # Python floordiv is the mathematical floor for either sign
-
-
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
+def _det_m_blocks(m: int, bound: int):
+    """Yield one row (first a, first b, a step, b step, count, c, d) per (c, d)
+    block of integer matrices of determinant m with max |entry| <= bound, one
+    per +-pair (c > 0, or c = 0 and d > 0); c, then d, then a ascending."""
+    for d in range(1, bound + 1):
+        if m % d == 0 and m // d <= bound:
+            yield m // d, -bound, 0, 1, 2 * bound + 1, 0, d
+    for c in range(1, bound + 1):
+        for d in range(-bound, bound + 1):
+            g = math.gcd(c, d)
+            if m % g:
+                continue
+            cs, ds = c // g, d // g
+            x = pow(ds, -1, cs)  # x*ds - y*cs = 1, scaled to determinant m
+            a0, b0 = x * (m // g), (x * ds - 1) // cs * (m // g)
+            lo, hi = _t_range(a0, cs, bound)
+            if ds:
+                blo, bhi = _t_range(b0, ds, bound)
+                lo, hi = max(lo, blo), min(hi, bhi)
+            elif abs(b0) > bound:
+                continue
+            if lo <= hi:
+                yield a0 + lo * cs, b0 + lo * ds, cs, ds, hi - lo + 1, c, d
 
 
 @lru_cache(maxsize=2)
-def _psl2_arrays(bound: int) -> tuple:
-    """Canonically ordered PSL2(Z) representatives with max |entry| <= bound:
-    one per +-pair (c > 0, or c = 0 with a = d = 1). Deterministic order:
-    the c = 0 translation block, then c ascending, d ascending, t ascending."""
-    A, B, C, D = [], [], [], []
-    for b in range(-bound, bound + 1):
-        A.append(1); B.append(b); C.append(0); D.append(1)
-    for c in range(1, bound + 1):
-        for d in range(-bound, bound + 1):
-            if math.gcd(c, d) != 1:
-                continue
-            g, x, y = _ext_gcd(d, -c)  # x*d - y*c = g = +-1
-            if g < 0:
-                x, y = -x, -y
-            a0, b0 = x, y
-            lo = _ceil_div(-bound - a0, c)
-            hi = _floor_div(bound - a0, c)
-            if d > 0:
-                lo = max(lo, _ceil_div(-bound - b0, d))
-                hi = min(hi, _floor_div(bound - b0, d))
-            elif d < 0:
-                lo = max(lo, _ceil_div(bound - b0, d))
-                hi = min(hi, _floor_div(-bound - b0, d))
-            for t in range(lo, hi + 1):
-                A.append(a0 + t * c); B.append(b0 + t * d)
-                C.append(c); D.append(d)
-    a = np.array(A, dtype=np.int64)
-    b = np.array(B, dtype=np.int64)
-    c = np.array(C, dtype=np.int64)
-    d = np.array(D, dtype=np.int64)
+def _det_m_arrays(m: int, bound: int) -> tuple:
+    """The matrices of _det_m_blocks in canonical order as int64 arrays
+    (a, b, c, d, maxe); m = 1 gives the PSL2(Z) representatives."""
+    rows = np.fromiter(chain.from_iterable(_det_m_blocks(m, bound)), dtype=np.int64)
+    a0, b0, sa, sb, n, c, d = rows.reshape(-1, 7).T
+    # k: position of each matrix inside its (c, d) block
+    k = np.arange(int(n.sum()), dtype=np.int64) - np.repeat(np.cumsum(n) - n, n)
+    a = np.repeat(a0, n) + k * np.repeat(sa, n)
+    b = np.repeat(b0, n) + k * np.repeat(sb, n)
+    c, d = np.repeat(c, n), np.repeat(d, n)
     maxe = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
     return a, b, c, d, maxe
 
 
-def _lattice_sum(order: int, z1: complex, z2: complex, bound: int,
-                 singular_threshold: float) -> tuple[float, float, float, int]:
-    """(full_sum, half_sum, abs_sum, n_terms) of Q_order over the PSL2 box;
-    canonical order, exact accumulation. Raises OnSingularLocus if some
-    enumerated gamma z2 comes within singular_threshold of z1."""
-    a, b, c, d, maxe = _psl2_arrays(bound)
-    y1 = z1.imag
-    den = c * z2 + d
-    gz2 = (a * z2 + b) / den
+def _green_single(order: int, m: int, z1: complex, z2: complex, bound: int,
+                  singular_threshold: float) -> GreensValue:
+    """-2 * the sum of Q_order over the determinant-m box, in canonical order
+    with exact accumulation; the tail is the outer-shell mass plus the float
+    rounding budget. Raises OnSingularLocus if some enumerated gamma z2 comes
+    within singular_threshold of z1."""
+    a, b, c, d, maxe = _det_m_arrays(m, bound)
+    gz2 = (a * z2 + b) / (c * z2 + d)
     diff2 = np.abs(z1 - gz2) ** 2
     if np.min(diff2) < singular_threshold ** 2:
         raise OnSingularLocus("z1 lies on (or too near) the orbit of z2")
-    targ = 1.0 + diff2 / (2.0 * y1 * gz2.imag)
-    vals = _q_eval_array(order, targ)
+    vals = _q_eval_array(order, 1.0 + diff2 / (2.0 * z1.imag * gz2.imag))
     full = math.fsum(vals)
-    half_mask = maxe <= bound // 2
-    half = math.fsum(vals[half_mask])
-    abs_sum = math.fsum(np.abs(vals))
-    return full, half, abs_sum, len(vals)
-
-
-def _green_single(order: int, z1c: complex, z2c: complex, bound: int,
-                  threshold: float) -> GreensValue:
-    full, half, abs_sum, n = _lattice_sum(order, z1c, z2c, bound, threshold)
+    half = math.fsum(vals[maxe <= bound // 2])
     value = -2.0 * full
     shell = 2.0 * abs(full - half)
-    round_err = 2.0 * _PER_TERM_REL * abs_sum + 1e-15 * abs(value)
+    round_err = 2.0 * _PER_TERM_REL * math.fsum(np.abs(vals)) + 1e-15 * abs(value)
     tail = shell + round_err
     return GreensValue(
         value=BigReal(mpf(value), mpf(tail), 16),
         tail_estimate=BigReal(mpf(tail), 0, 16),
-        terms_summed=n,
+        terms_summed=len(vals),
+    )
+
+
+def _weighted_sum(parts) -> GreensValue:
+    """sum of w * g over (w, g) pairs; tails and errors add with weight |w|."""
+    parts = list(parts)
+    return GreensValue(
+        value=BigReal(mpf(math.fsum(w * float(g.value.val) for w, g in parts)),
+                      mpf(math.fsum(abs(w) * float(g.value.err) for w, g in parts)), 16),
+        tail_estimate=BigReal(
+            mpf(math.fsum(abs(w) * float(g.tail_estimate.val) for w, g in parts)), 0, 16),
+        terms_summed=sum(g.terms_summed for _, g in parts),
     )
 
 
@@ -378,7 +378,7 @@ def green_k(k: int, z1: UHPoint, z2: UHPoint, policy: TruncationPolicy,
     z2r, _ = reduce_fd(z2)
     z1c, z2c = z1.as_complex(), z2r.as_complex()
     bound = policy.matrix_bound
-    out = _green_single(order, z1c, z2c, bound, policy.singular_threshold)
+    out = _green_single(order, 1, z1c, z2c, bound, policy.singular_threshold)
     if not policy.adaptive:
         return out
     while True:
@@ -387,7 +387,7 @@ def green_k(k: int, z1: UHPoint, z2: UHPoint, policy: TruncationPolicy,
             raise BudgetExceeded(
                 f"adaptive refinement needs bound > {policy.max_bound}"
             )
-        nxt = _green_single(order, z1c, z2c, new_bound, policy.singular_threshold)
+        nxt = _green_single(order, 1, z1c, z2c, new_bound, policy.singular_threshold)
         if abs(float(nxt.value.val) - float(out.value.val)) < policy.target_tol:
             return nxt
         bound, out = new_bound, nxt
@@ -417,15 +417,8 @@ def hecke_green(s: int, m: int, z1: UHPoint, z2: UHPoint, policy: TruncationPoli
         with workdps(max(z2.re.dps, 30)):
             w = (a * z2.as_mpc() + b) / d
             z2p = UHPoint(BigReal(w.real, 0, z2.re.dps), BigReal(w.imag, 0, z2.re.dps))
-        parts.append(green_k(s, z1, z2p, policy, q_order=q_order))
-    value = math.fsum(float(p.value.val) for p in parts)
-    tail = math.fsum(float(p.tail_estimate.val) for p in parts)
-    err = math.fsum(float(p.value.err) for p in parts)
-    return GreensValue(
-        value=BigReal(mpf(value), mpf(err), 16),
-        tail_estimate=BigReal(mpf(tail), 0, 16),
-        terms_summed=sum(p.terms_summed for p in parts),
-    )
+        parts.append((1.0, green_k(s, z1, z2p, policy, q_order=q_order)))
+    return _weighted_sum(parts)
 
 
 def green_det_m_direct(s: int, m: int, z1: UHPoint, z2: UHPoint, bound: int,
@@ -437,63 +430,11 @@ def green_det_m_direct(s: int, m: int, z1: UHPoint, z2: UHPoint, bound: int,
     if int(s) != s or s < 2:
         raise ValueError("s must be an integer >= 2")
     order = s - 1 if q_order is None else int(q_order)
-    A, B, C, D = [], [], [], []
-    for c in range(0, bound + 1):
-        for d in range(-bound, bound + 1):
-            if c == 0 and d <= 0:
-                continue  # representative of the +- pair has d > 0 when c = 0
-            if c == 0:
-                if m % d:
-                    continue
-                a = m // d
-                if abs(a) > bound:
-                    continue
-                for b in range(-bound, bound + 1):
-                    A.append(a); B.append(b); C.append(0); D.append(d)
-                continue
-            g = math.gcd(c, d)
-            if m % g:
-                continue
-            gg, x, y = _ext_gcd(d, -c)
-            if gg < 0:
-                x, y = -x, -y
-            scale = m // g
-            a0, b0 = x * scale, y * scale
-            cs, ds = c // g, d // g
-            lo = _ceil_div(-bound - a0, cs)
-            hi = _floor_div(bound - a0, cs)
-            if ds > 0:
-                lo = max(lo, _ceil_div(-bound - b0, ds))
-                hi = min(hi, _floor_div(bound - b0, ds))
-            elif ds < 0:
-                lo = max(lo, _ceil_div(bound - b0, ds))
-                hi = min(hi, _floor_div(-bound - b0, ds))
-            for t in range(lo, hi + 1):
-                A.append(a0 + t * cs); B.append(b0 + t * ds)
-                C.append(c); D.append(d)
-    a = np.array(A, dtype=np.int64)
-    b = np.array(B, dtype=np.int64)
-    c = np.array(C, dtype=np.int64)
-    d = np.array(D, dtype=np.int64)
-    maxe = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
-    z1c, z2c = z1.as_complex(), z2.as_complex()
-    den = c * z2c + d
-    gz2 = (a * z2c + b) / den
-    diff2 = np.abs(z1c - gz2) ** 2
-    if np.min(diff2) < singular_threshold ** 2:
-        raise OnSingularLocus("z1 lies on (or too near) the divisor T_m", m=m)
-    targ = 1.0 + diff2 / (2.0 * z1c.imag * gz2.imag)
-    vals = _q_eval_array(order, targ)
-    full = math.fsum(vals)
-    half = math.fsum(vals[maxe <= bound // 2])
-    abs_sum = math.fsum(np.abs(vals))
-    value = -2.0 * full
-    tail = 2.0 * abs(full - half) + 2.0 * _PER_TERM_REL * abs_sum
-    return GreensValue(
-        value=BigReal(mpf(value), mpf(tail), 16),
-        tail_estimate=BigReal(mpf(tail), 0, 16),
-        terms_summed=len(vals),
-    )
+    try:
+        return _green_single(order, m, z1.as_complex(), z2.as_complex(), bound,
+                             singular_threshold)
+    except OnSingularLocus as exc:
+        raise OnSingularLocus("z1 lies on (or too near) the divisor T_m", m=m) from exc
 
 
 def greens_combo(f: PrincipalPart, j: int, z1: UHPoint, z2: UHPoint,
@@ -503,50 +444,29 @@ def greens_combo(f: PrincipalPart, j: int, z1: UHPoint, z2: UHPoint,
     per-term tails."""
     if int(j) != j or j < 1:
         raise ValueError("j must be an integer >= 1 (weight-1 sums are not evaluable)")
-    terms = []
-    tails = []
-    errs = []
-    n = 0
+    parts = []
     for m, cf in f.coeffs:
         try:
             g = hecke_green(j + 1, m, z1, z2, policy)
         except OnSingularLocus as exc:
             raise OnSingularLocus(f"(z1, z2) lies on T_{m}", m=m) from exc
-        w = float(cf) * m ** j
-        terms.append(w * float(g.value.val))
-        tails.append(abs(w) * float(g.tail_estimate.val))
-        errs.append(abs(w) * float(g.value.err))
-        n += g.terms_summed
-    value = math.fsum(terms)
-    tail = math.fsum(tails)
-    err = math.fsum(errs)
-    return GreensValue(
-        value=BigReal(mpf(value), mpf(err), 16),
-        tail_estimate=BigReal(mpf(tail), 0, 16),
-        terms_summed=n,
-    )
+        parts.append((float(cf) * m ** j, g))
+    return _weighted_sum(parts)
 
 
 def cross_check(reg, boundary: list, y: UHPoint, policy: TruncationPolicy) -> dict:
     """Exploratory comparison of log|R| from a regulator run against
     sum a_tau G_2(tau, y) for user-supplied boundary data. Emits both sides,
     their difference and both error budgets; no verdict is drawn."""
-    terms = []
-    errs = []
-    n = 0
-    for tau, coeff in boundary:
-        g = green_k(2, tau, y, policy)
-        terms.append(float(coeff) * float(g.value.val))
-        errs.append(abs(float(coeff)) * float(g.value.err))
-        n += g.terms_summed
-    greens_side = math.fsum(terms)
-    greens_err = math.fsum(errs)
+    total = _weighted_sum((float(coeff), green_k(2, tau, y, policy))
+                          for tau, coeff in boundary)
+    greens_side = float(total.value.val)
     log_abs = float(reg.log_abs.val)
     return {
         "log_abs_regulator": log_abs,
         "regulator_err": float(reg.log_abs.err),
         "greens_sum": greens_side,
-        "greens_err": greens_err,
+        "greens_err": float(total.value.err),
         "difference": log_abs - greens_side,
-        "terms_summed": n,
+        "terms_summed": total.terms_summed,
     }

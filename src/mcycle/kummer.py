@@ -125,10 +125,15 @@ def sextic_eval(p: ModuliParams, x, y) -> QuadVal:
 
 
 def humbert5_coeffs(p: ModuliParams) -> tuple:
-    """Closed-form coefficients of the conic through q12,q23,q34,q45,q51,
+    """Closed-form coefficients of the conic through the h5_points,
     as resolved against the five-point determinant (the printed p2, p4, p6
     carry transcription slips; the determinant is the authority)."""
-    a1, a2, a3 = p.a1, p.a2, p.a3
+    return _h5_coeffs(p.a1, p.a2, p.a3)
+
+
+def _h5_coeffs(a1, a2, a3) -> tuple:
+    """The closed form as bare polynomials in (a1, a2, a3): QuadVals or
+    Fractions, no moduli checks."""
     p1 = 4 * a1 * a2 * a3 * (a1 - a2)
     p2 = a1 * a1 * a3 - a1 * a3 * a3 - a2 * a2 + a2 + a3 * a3 - a3
     p3 = a1 * a2 * a3 * a3 * (a1 - a2)
@@ -148,20 +153,20 @@ def humbert5_coeffs(p: ModuliParams) -> tuple:
     return p1, p2, p3, p4, p5, p6
 
 
+def h5_points(p: ModuliParams) -> list:
+    """The five double points q12, q23, q34, q45, q51 on the H5 conic."""
+    zero, one = as_quadval(0), as_quadval(1)
+    return [_qpoint(p.a1, p.a2), _qpoint(p.a2, p.a3), _qpoint(p.a3, zero),
+            _qpoint(zero, one), _qpoint(one, p.a1)]
+
+
 def humbert5_conic(p: ModuliParams, cross_check: bool = True) -> Conic:
     """The conic through q12, q23, q34, q45, q51 (closed form), verified
     against the determinant construction; any projective disagreement raises
     ClosedFormMismatch carrying both conics."""
     conic = Conic(humbert5_coeffs(p))
     if cross_check:
-        cfg_pts = [
-            _qpoint(p.a1, p.a2),
-            _qpoint(p.a2, p.a3),
-            _qpoint(p.a3, as_quadval(0)),
-            _qpoint(as_quadval(0), as_quadval(1)),
-            _qpoint(as_quadval(1), p.a1),
-        ]
-        det_conic = conic_through_5(cfg_pts)
+        det_conic = conic_through_5(h5_points(p))
         if conic != det_conic:
             raise ClosedFormMismatch(
                 "closed-form conic disagrees with the determinant construction",
@@ -301,30 +306,9 @@ def _discriminant_poly_in_a3(a1: Fraction, a2: Fraction) -> UniPoly:
     nodes = [Fraction(t) for t in range(2, 11)]
     vals = []
     for t in nodes:
-        p = _coeffs_raw(a1, a2, t)
+        p = _h5_coeffs(a1, a2, t)
         vals.append(p[3] * p[3] - 4 * p[0] * p[1])
     return _lagrange(nodes, vals)
-
-
-def _coeffs_raw(a1: Fraction, a2: Fraction, a3: Fraction) -> tuple:
-    """Closed-form conic coefficients as bare polynomials (no moduli checks)."""
-    p1 = 4 * a1 * a2 * a3 * (a1 - a2)
-    p2 = a1 * a1 * a3 - a1 * a3 * a3 - a2 * a2 + a2 + a3 * a3 - a3
-    p3 = a1 * a2 * a3 * a3 * (a1 - a2)
-    p4 = 2 * (
-        a1 * a1 * (a2 * a3 + a3)
-        + a1 * (-(a2 * a2) - a2 * a3 * a3 + a2 - a3)
-        - a2 * a2 * a3
-        + a2 * a3 * a3
-    )
-    p5 = 2 * a1 * a2 * a3 * (a1 - a2) * (a3 + 1)
-    p6 = (
-        a1 * a1 * (a2 * a2 * a3 - a2 * a2 + a2 + a3 * a3)
-        - a1 * (a2 * a2 * a3 * a3 + a3 * a3)
-        - a2 * a2 * a3
-        + a2 * a3 * a3
-    )
-    return p1, p2, p3, p4, p5, p6
 
 
 def _lagrange(xs: list[Fraction], ys: list[Fraction]) -> UniPoly:

@@ -17,8 +17,7 @@ from .greens import (
     legendre_q,
     legendre_q_closed_q1,
 )
-from .kummer import ModuliParams, humbert5_conic, _qpoint, bw_cases
-from .arith import as_quadval
+from .kummer import ModuliParams, bw_cases, h5_points, humbert5_conic
 from .nslattice import (
     EndElt,
     cm_z,
@@ -52,14 +51,7 @@ def check_conic_oracle(n: int = 50, seed: int = 20240901) -> tuple[str, bool, st
     for i in range(n):
         p = _random_params(rng)
         conic = humbert5_conic(p, cross_check=False)
-        pts = [
-            _qpoint(p.a1, p.a2),
-            _qpoint(p.a2, p.a3),
-            _qpoint(p.a3, as_quadval(0)),
-            _qpoint(as_quadval(0), as_quadval(1)),
-            _qpoint(as_quadval(1), p.a1),
-        ]
-        det = conic_through_5(pts)
+        det = conic_through_5(h5_points(p))
         if conic != det:
             return ("conic-closed-form-vs-determinant", False,
                     f"mismatch at sample {i}: {p}")

@@ -237,6 +237,14 @@ class TestRecognizeAlgebraic:
             x = BigReal(mp.pi, mpf(10) ** -62, 70)
         assert recognize_algebraic(x, 4, 100) is None
 
+    def test_small_value_no_monomial_relation(self):
+        # x^7 is below 10^-(digits-10) in absolute terms, but a monomial
+        # relation is no evidence that x is algebraic
+        with workdps(75):
+            x = BigReal(mp.pi / 4 * mpf(10) ** -9, mpf(10) ** -80, 75)
+        assert x.digits >= 70
+        assert recognize_algebraic(x, 8, 10**6) is None
+
     def test_insufficient_precision(self):
         x = BigReal(mpf("0.5"), mpf(10) ** -20, 40)
         with pytest.raises(InsufficientPrecision):

@@ -217,3 +217,38 @@ def test_env_precision(tmp_path, capsys, monkeypatch):
     ap = cli_mod.build_parser()
     args = ap.parse_args(["regulator", "--a1", "2", "--a3", "3"])
     assert args.precision == 23
+
+
+def test_regulator_sweep_bad_pair_keeps_the_rest(tmp_path, capsys):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([["x", "3"], ["1/0", "3"], ["2", "3"]]))
+    code, doc = run_cli(capsys, "regulator-sweep", "--pairs", str(pairs),
+                        "--precision", "25")
+    assert code == 0
+    rows = doc["results"]
+    assert rows[0]["error"]["type"] == "ValueError"
+    assert rows[1]["error"]["type"] == "ZeroDivisionError"
+    assert rows[2]["a1"] == "2" and "result" in rows[2]
+
+
+def test_greens_cross_check_malformed_boundary(tmp_path, capsys):
+    bfile = tmp_path / "boundary.json"
+    bfile.write_text(json.dumps({"pts": [{"tau": "1/3,8/5", "a": "1"}]}))
+    code, doc = run_cli(capsys, "greens", "cross-check", "--a1", "2", "--a3", "3",
+                        "--precision", "25", "--boundary", str(bfile),
+                        "--y", "0,2", "--bound", "60")
+    assert code == 1
+    assert doc["error"]["type"] == "McycleError"
+    assert "points" in doc["error"]["message"]
+
+
+def test_negative_rationals_as_separate_arguments(capsys):
+    code, sep = run_cli(capsys, "regulator", "--a1", "-9/4", "--a3", "3",
+                        "--precision", "25")
+    assert code == 0 and sep["meta"]["settings"]["a1"] == "-9/4"
+    _, joined = run_cli(capsys, "regulator", "--a1=-9/4", "--a3", "3",
+                        "--precision", "25")
+    assert sep == joined
+    code, doc = run_cli(capsys, "greens", "eval", "--z1", "-1/2,2",
+                        "--z2", "1/3,8/5", "--bound", "20")
+    assert code == 0 and "greens" in doc

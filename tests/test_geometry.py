@@ -23,6 +23,15 @@ CIRCLE = Conic((1, 1, -1, 0, 0, 0))
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
+def test_hash_agrees_with_projective_equality():
+    assert len({ProjLine((1, 2, 3)), ProjLine((2, 4, 6))}) == 1
+    assert len({ProjLine((1, 2, 3)), ProjLine((1, 2, 4))}) == 2
+    s = QuadVal.sqrt_rat(2)
+    assert len({Conic((1, 2, 3, 0, 0, -1)), Conic((s, 2 * s, 3 * s, 0, 0, -s)),
+                Conic((0, 0, 0, 1, 0, 0))}) == 2
+    assert len({ProjPoint((0, 2, 4)), ProjPoint((0, F(-1, 3), F(-2, 3)))}) == 1
+
+
 def test_projective_equality_up_to_scale():
     assert ProjPoint((1, 2, 3)) == ProjPoint((F(1, 2), 1, F(3, 2)))
     assert ProjPoint((1, 0, 0)) != ProjPoint((0, 1, 0))

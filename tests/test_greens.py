@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf, workdps
 
@@ -11,7 +12,7 @@ from mcycle.greens import (
     PrincipalPart,
     TruncationPolicy,
     UHPoint,
-    _psl2_arrays,
+    _det_m_arrays,
     apply_matrix,
     cross_check,
     green_det_m_direct,
@@ -347,8 +348,24 @@ class TestCrossCheck:
 def test_enumeration_counts_small_bound():
     # PSL2(Z) reps with entries <= 1: identity, T, T^-1, S, and the six
     # products with |entries| <= 1 (classic count: 10)
-    a, b, c, d, _ = _psl2_arrays(10)
+    a, b, c, d, _ = _det_m_arrays(1, 10)
     mask = (abs(a) <= 1) & (abs(b) <= 1) & (abs(c) <= 1) & (abs(d) <= 1)
     assert int(mask.sum()) == 10
     det = a * d - b * c
     assert (det == 1).all()
+    # against brute force: every determinant-m matrix with |entries| <= B,
+    # one per +-pair (c > 0, or c = 0 and d > 0), in canonical order
+    # (c, then d, then a ascending)
+    for m in (1, 2, 3, 4, 6):
+        for bound in (1, 2, 3, 5, 7, 10):
+            rng = range(-bound, bound + 1)
+            brute = sorted(
+                (c, d, a, b)
+                for a in rng for b in rng for c in rng for d in rng
+                if a * d - b * c == m and (c > 0 or (c == 0 and d > 0))
+            )
+            a, b, c, d, maxe = _det_m_arrays(m, bound)
+            got = list(zip(c.tolist(), d.tolist(), a.tolist(), b.tolist()))
+            assert got == brute, (m, bound)
+            assert (maxe == np.maximum(np.maximum(abs(a), abs(b)),
+                                       np.maximum(abs(c), abs(d)))).all()

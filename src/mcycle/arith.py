@@ -717,6 +717,10 @@ def recognize_algebraic(x: BigReal, max_degree: int, coeff_bound: int) -> Option
             powers = [mpf(1)]
             for _ in range(d):
                 powers.append(powers[-1] * x.val)
+            # a power below the PSLQ tolerance reads as zero there (mpmath
+            # refuses such a vector), and higher degrees only shrink it
+            if min(abs(p) for p in powers) < pslq_tol:
+                break
             rel = mp.pslq(powers, tol=pslq_tol, maxcoeff=coeff_bound,
                           maxsteps=20000)
             if rel is None:

@@ -146,11 +146,15 @@ def _sweep_worker(item):
 def _cmd_regulator_sweep(args) -> int:
     with open(args.pairs) as fh:
         pairs = json.load(fh)
-    items = [
-        (i, str(p[0]), str(p[1]), args.precision, args.recognize)
-        for i, p in enumerate(pairs)
-    ]
+    if not isinstance(pairs, list):
+        raise McycleError('pairs file must hold a list [["a1", "a3"], ...]')
+    items = []
     results: dict = {}
+    for i, p in enumerate(pairs):
+        if isinstance(p, list) and len(p) == 2:
+            items.append((i, str(p[0]), str(p[1]), args.precision, args.recognize))
+        else:
+            results[i] = {"error": McycleError("expected a pair [a1, a3]").payload()}
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             for idx, payload in pool.map(_sweep_worker, items):
@@ -159,7 +163,7 @@ def _cmd_regulator_sweep(args) -> int:
         for item in items:
             idx, payload = _sweep_worker(item)
             results[idx] = payload
-    ordered = [results[i] for i in range(len(items))]
+    ordered = [results[i] for i in range(len(pairs))]
     return _emit({
         "meta": _meta(precision=args.precision, recognize=args.recognize,
                       workers=args.workers, count=len(ordered)),

@@ -23,9 +23,8 @@ from .arith import (
 )
 from .errors import (
     BranchAtRamification,
-    DegenerateQuadratic,
     IncompatibleRadicands,
-    NonTransversal,
+    InsufficientPrecision,
     OnH5Locus,
     PoleEvaluation,
     RepeatedRoot,
@@ -73,11 +72,12 @@ class BlowupLocalData:
 
 
 def blowup_data(p: ModuliParams, dps: int = 50) -> BlowupLocalData:
-    """Assemble the node-local data; degenerate inputs raise OnH5Locus,
-    ZeroDenominator or NonTransversal (the latter is provably unreachable for
-    valid moduli: p1 - p5 = -2 a1 a2 a3 (a1-a2)(a3-1) and
+    """Assemble the node-local data; degenerate inputs raise OnH5Locus or
+    ZeroDenominator. The branches at q45 are always transversal (slope not
+    in {0, -2}): p1 - p5 = -2 a1 a2 a3 (a1-a2)(a3-1) and
     p1 - p5 + 2 p6 - p4 = 2 a1 (a1-1)(a2-1)(a2-a3)(a3-1), every factor
-    excluded by the moduli invariants; the guard stays defensive)."""
+    excluded by the moduli invariants (proved in
+    tests/test_kummer.py::TestHumbert5::test_closed_form_proved_on_grid)."""
     conic = humbert5_conic(p)
     p1, p2, p3, p4, p5, p6 = conic.p
     if (p4 * p4 - 4 * p1 * p2).is_zero():
@@ -86,8 +86,6 @@ def blowup_data(p: ModuliParams, dps: int = 50) -> BlowupLocalData:
     if denom.is_zero():
         raise ZeroDenominator("conic is vertical-tangent at q45 (p6 - p4/2 = 0)")
     slope = (p1 - p5) / denom
-    if slope.is_zero() or (slope + 2).is_zero():
-        raise NonTransversal("slope at q45 lies in {0, -2}")
     s6_1, s6_2 = conic_line_meet(conic, _L6)
     h = as_quadval(1)
     for ai in (p.a1, p.a2, p.a3):
@@ -246,9 +244,8 @@ def regulator_h4(
     d = blowup_data(params, dps)
 
     p1, p2, p3, p4, p5, p6 = humbert5_coeffs(params)
+    # A = p1 = 4 a1 a2 a3 (a1 - a2) never vanishes on valid moduli
     A, B, C = p1, p4 * a2q + p5, p2 * a2q * a2q + p3 + p6 * a2q
-    if A.is_zero():
-        raise DegenerateQuadratic("pipeline quadratic degenerates (p1 = 0)")
     disc = B * B - 4 * A * C
     if disc.is_zero():
         raise RepeatedRoot("pipeline quadratic has a double root")
@@ -320,7 +317,7 @@ def _recognize_ratio(ratio: BigComplex) -> Optional[UniPoly]:
     for cand in candidates:
         try:
             poly = recognize_algebraic(cand, max_degree=8, coeff_bound=10**6)
-        except Exception:
+        except InsufficientPrecision:
             continue
         if poly is not None:
             return poly

@@ -36,15 +36,6 @@ class InvalidModuli(McycleError):
     """Moduli parameters violate the distinctness constraints."""
 
 
-class ClosedFormMismatch(McycleError):
-    """Closed-form conic disagrees projectively with the determinant conic."""
-
-    def __init__(self, message, closed_form=None, determinant=None):
-        super().__init__(message)
-        self.closed_form = closed_form
-        self.determinant = determinant
-
-
 class NotOnH4(McycleError):
     """Operation requires a2 = a1*a3."""
 
@@ -52,10 +43,6 @@ class NotOnH4(McycleError):
 # cycle / regulator
 class OnH5Locus(McycleError):
     """The two s6 points coincide: the cycle degenerates."""
-
-
-class NonTransversal(McycleError):
-    """Slope at the node lies in {0, -2}: branches not transversal."""
 
 
 class ZeroDenominator(McycleError):

@@ -18,8 +18,8 @@ from typing import Optional
 from mpmath import mp, mpf, workdps
 
 from .arith import QuadVal, UniPoly, as_quadval
-from .errors import ClosedFormMismatch, InvalidModuli, NotOnH4
-from .geometry import Conic, ProjLine, ProjPoint, conic_through_5
+from .errors import InvalidModuli, NotOnH4
+from .geometry import Conic, ProjLine, ProjPoint
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,9 @@ def sextic_eval(p: ModuliParams, x, y) -> QuadVal:
 
 
 def humbert5_coeffs(p: ModuliParams) -> tuple:
-    """Closed-form coefficients of the conic through the h5_points,
-    as resolved against the five-point determinant (the printed p2, p4, p6
-    carry transcription slips; the determinant is the authority)."""
+    """Closed-form coefficients of the conic through the h5_points, the
+    five-point determinant's up to a nonzero factor (the printed p2, p4, p6
+    carry transcription slips; see humbert5_conic)."""
     return _h5_coeffs(p.a1, p.a2, p.a3)
 
 
@@ -160,20 +160,13 @@ def h5_points(p: ModuliParams) -> list:
             _qpoint(zero, one), _qpoint(one, p.a1)]
 
 
-def humbert5_conic(p: ModuliParams, cross_check: bool = True) -> Conic:
-    """The conic through q12, q23, q34, q45, q51 (closed form), verified
-    against the determinant construction; any projective disagreement raises
-    ClosedFormMismatch carrying both conics."""
-    conic = Conic(humbert5_coeffs(p))
-    if cross_check:
-        det_conic = conic_through_5(h5_points(p))
-        if conic != det_conic:
-            raise ClosedFormMismatch(
-                "closed-form conic disagrees with the determinant construction",
-                closed_form=conic,
-                determinant=det_conic,
-            )
-    return conic
+def humbert5_conic(p: ModuliParams) -> Conic:
+    """The conic through q12, q23, q34, q45, q51, in closed form. The six
+    signed minors of the five-point determinant equal
+    -64*a1*a2*(a1-a3)*(a2-1)*(a3-1) times these coefficients, a nonzero
+    multiple on valid moduli (proved once by
+    tests/test_kummer.py::TestHumbert5::test_closed_form_proved_on_grid)."""
+    return Conic(humbert5_coeffs(p))
 
 
 def humbert5_discriminant(p: ModuliParams) -> QuadVal:

@@ -50,7 +50,7 @@ def check_conic_oracle(n: int = 50, seed: int = 20240901) -> tuple[str, bool, st
     rng = random.Random(seed)
     for i in range(n):
         p = _random_params(rng)
-        conic = humbert5_conic(p, cross_check=False)
+        conic = humbert5_conic(p)
         det = conic_through_5(h5_points(p))
         if conic != det:
             return ("conic-closed-form-vs-determinant", False,

@@ -22,8 +22,8 @@ from mcycle.greens import (
 from mcycle.kummer import (
     BWCase,
     ModuliParams,
-    _qpoint,
     bw_cases,
+    h5_points,
     h5_roots_in_a3,
     humbert5_conic,
     humbert5_coeffs,
@@ -69,15 +69,8 @@ def test_criterion_1_conic_oracle_equivalence():
     rng = random.Random(1234)
     for _ in range(200):
         p = _random_params(rng)
-        closed = humbert5_conic(p, cross_check=False)
-        pts = [
-            _qpoint(p.a1, p.a2),
-            _qpoint(p.a2, p.a3),
-            _qpoint(p.a3, as_quadval(0)),
-            _qpoint(as_quadval(0), as_quadval(1)),
-            _qpoint(as_quadval(1), p.a1),
-        ]
-        det = conic_through_5(pts)
+        closed = humbert5_conic(p)
+        det = conic_through_5(h5_points(p))
         assert closed == det, f"mismatch at {p}"
     elapsed = time.time() - t0
     report("conic oracle equivalence (200 random triples, exact)",
@@ -92,7 +85,7 @@ def test_criterion_2_tangency_iff_discriminant():
         assert roots, f"no tangency root for {(a1, a2)}"
         a3 = rat_from_mpf(roots[0])
         p = ModuliParams(a1, a2, a3)
-        conic = humbert5_conic(p, cross_check=False)
+        conic = humbert5_conic(p)
         with workdps(70):
             d = restriction_discriminant(conic, L6).to_mpf(70)
             assert abs(d) < mpf(10) ** -40, f"|disc| = {d} at {(a1, a2)}"
@@ -106,7 +99,7 @@ def test_criterion_2_tangency_iff_discriminant():
             assert gap < mpf(10) ** -19, f"s6 gap {gap} at {(a1, a2)}"
         # generic parameters: distinct s6 points, exactly
         generic = ModuliParams(a1, a2, a3 + F(1, 3))
-        g1, g2 = conic_line_meet(humbert5_conic(generic, cross_check=False), L6)
+        g1, g2 = conic_line_meet(humbert5_conic(generic), L6)
         assert g1 != g2
     elapsed = time.time() - t0
     report("tangency <=> discriminant (6 pairs, 60-digit roots, 1e-40)",

@@ -244,6 +244,10 @@ class TestRecognizeAlgebraic:
             x = BigReal(mp.pi / 4 * mpf(10) ** -9, mpf(10) ** -80, 75)
         assert x.digits >= 70
         assert recognize_algebraic(x, 8, 10**6) is None
+        # x^8 falls below the PSLQ tolerance: no relation, not an error
+        with workdps(60):
+            tiny = BigReal(mp.pi * mpf(10) ** -11, mpf(10) ** -72, 60)
+        assert recognize_algebraic(tiny, 8, 10**6) is None
 
     def test_insufficient_precision(self):
         x = BigReal(mpf("0.5"), mpf(10) ** -20, 40)

@@ -221,14 +221,24 @@ def test_env_precision(tmp_path, capsys, monkeypatch):
 
 def test_regulator_sweep_bad_pair_keeps_the_rest(tmp_path, capsys):
     pairs = tmp_path / "pairs.json"
-    pairs.write_text(json.dumps([["x", "3"], ["1/0", "3"], ["2", "3"]]))
+    pairs.write_text(json.dumps([["x", "3"], ["1/0", "3"], ["2"], ["2", "3"]]))
     code, doc = run_cli(capsys, "regulator-sweep", "--pairs", str(pairs),
                         "--precision", "25")
     assert code == 0
     rows = doc["results"]
     assert rows[0]["error"]["type"] == "ValueError"
     assert rows[1]["error"]["type"] == "ZeroDivisionError"
-    assert rows[2]["a1"] == "2" and "result" in rows[2]
+    assert rows[2]["error"]["type"] == "McycleError"
+    assert rows[3]["a1"] == "2" and "result" in rows[3]
+
+
+def test_regulator_sweep_pairs_not_a_list(tmp_path, capsys):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"a1": "2", "a3": "3"}))
+    code, doc = run_cli(capsys, "regulator-sweep", "--pairs", str(pairs),
+                        "--precision", "25")
+    assert code == 1
+    assert doc["error"]["type"] == "McycleError"
 
 
 def test_greens_cross_check_malformed_boundary(tmp_path, capsys):

@@ -2,6 +2,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from mpmath import mp, mpc, mpf, workdps
@@ -80,26 +81,12 @@ class TestBlowupData:
         with pytest.raises(ZeroDenominator):
             blowup_data(ModuliParams(2, F(3, 2), -3))
 
-    def test_transversality_automatic(self):
-        # slope never hits {0, -2} on valid moduli: both numerator identities
-        # factor into expressions excluded by the moduli invariants
-        rng = random.Random(47)
-        for _ in range(30):
-            vals = []
-            while len(vals) < 3:
-                f = F(rng.randint(-15, 15), rng.randint(1, 6))
-                if f not in (0, 1) and f not in vals:
-                    vals.append(f)
-            a1, a2, a3 = vals
-            try:
-                params = ModuliParams(a1, a2, a3)
-            except InvalidModuli:
-                continue
-            p1, _, _, p4, p5, p6 = (c.rat for c in humbert5_coeffs(params))
-            assert p1 - p5 == -2 * a1 * a2 * a3 * (a1 - a2) * (a3 - 1)
-            assert (p1 - p5 + 2 * p6 - p4
-                    == 2 * a1 * (a1 - 1) * (a2 - 1) * (a2 - a3) * (a3 - 1))
-            d = blowup_data(params)
+    def test_transversality_automatic(self, h5_grid_axes):
+        # slope never hits {0, -2} on valid moduli: both numerators factor
+        # into expressions excluded by the moduli invariants (proved on this
+        # grid by test_kummer's test_closed_form_proved_on_grid)
+        for moduli in product(*h5_grid_axes):
+            d = blowup_data(ModuliParams(*moduli))
             assert not d.slope.is_zero() and not (d.slope + 2).is_zero()
 
 

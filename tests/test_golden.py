@@ -40,6 +40,10 @@ CASES = [
                       "--z1", "0,2", "--z2", "1/3,8/5", "--bound", "60"], 0),
     ("greens_singular", ["greens", "eval", "--z1", "0,2", "--z2", "0,2",
                          "--bound", "60"], 1),
+    ("refuse_repeated_root", ["regulator", "--a1", "-2", "--a3", "-1"], 1),
+    ("refuse_zero_denominator", ["cycle", "--params", "2,3/2,-3"], 1),
+    ("refuse_branch_at_ramification", ["regulator", "--a1", "-2", "--a3", "-3"], 1),
+    ("refuse_invalid_moduli", ["regulator", "--a1", "1", "--a3", "3"], 1),
 ]
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from mpmath import mpf, workdps
@@ -23,6 +23,7 @@ from mcycle.kummer import (
     bw_cases,
     h4_h8_factors,
     h4_line,
+    h5_points,
     h5_roots_in_a3,
     hecke_components,
     humbert5_coeffs,
@@ -136,21 +137,43 @@ class TestHumbert5:
         rng = random.Random(17)
         for _ in range(40):
             p = rand_params(rng)
-            conic = humbert5_conic(p, cross_check=False)
-            pts = [
-                _qpoint(p.a1, p.a2),
-                _qpoint(p.a2, p.a3),
-                _qpoint(p.a3, as_quadval(0)),
-                _qpoint(as_quadval(0), as_quadval(1)),
-                _qpoint(as_quadval(1), p.a1),
-            ]
-            assert conic == conic_through_5(pts)
+            assert humbert5_conic(p) == conic_through_5(h5_points(p))
+
+    def test_closed_form_proved_on_grid(self, h5_grid_axes):
+        # Grid argument (Alon, Combinatorial Nullstellensatz, 1999): a
+        # polynomial over Q of degree <= d in each variable that vanishes on
+        # S1 x S2 x S3 with every |Si| > d is identically zero. Each
+        # coordinate of h5_points has degree <= 1 in each a_i, and each a_i
+        # enters at most two of the five points (a1: q12, q51; a2: q12, q23;
+        # a3: q23, q34), so a monomial row has degree <= 2 and each signed
+        # minor M_j of conic_through_5 degree <= 4 in each a_i. lam has
+        # degree 2 and every p_j degree <= 2 in each a_i, so M_j - lam*p_j
+        # has degree <= 4 and the three factorizations below degree <= 2.
+        # Five values per variable therefore prove them as polynomial
+        # identities, for every accepted input (QuadVal moduli included).
+        # lam is a product of factors ModuliParams excludes, so
+        # humbert5_conic is the determinant conic on every valid moduli
+        # point; p1 and the two slope numerators of blowup_data never
+        # vanish, which keeps the node transversal and the regulator
+        # quadratic (leading coefficient p1) of degree two.
+        assert all(len(set(axis)) >= 5 for axis in h5_grid_axes)
+        for moduli in product(*h5_grid_axes):
+            p = ModuliParams(*moduli)
+            a1, a2, a3 = p.a1, p.a2, p.a3
+            p1, p2, p3, p4, p5, p6 = coeffs = humbert5_coeffs(p)
+            lam = -64 * a1 * a2 * (a1 - a3) * (a2 - 1) * (a3 - 1)
+            minors = conic_through_5(h5_points(p)).p
+            assert all(m == lam * c for m, c in zip(minors, coeffs))
+            assert p1 == 4 * a1 * a2 * a3 * (a1 - a2)
+            assert p1 - p5 == -2 * a1 * a2 * a3 * (a1 - a2) * (a3 - 1)
+            assert (p1 - p5 + 2 * p6 - p4
+                    == 2 * a1 * (a1 - 1) * (a2 - 1) * (a2 - a3) * (a3 - 1))
 
     def test_passes_through_q45(self):
         rng = random.Random(19)
         for _ in range(20):
             p = rand_params(rng)
-            conic = humbert5_conic(p, cross_check=False)
+            conic = humbert5_conic(p)
             assert incident(_qpoint(as_quadval(0), as_quadval(1)), conic)
 
     def test_discriminant_nonzero_generic(self):
@@ -167,7 +190,7 @@ class TestHumbert5:
         rng = random.Random(23)
         for _ in range(10):
             p = rand_params(rng)
-            conic = humbert5_conic(p, cross_check=False)
+            conic = humbert5_conic(p)
             assert humbert5_discriminant(p) == restriction_discriminant(
                 conic, ProjLine((0, 0, 1))
             )
@@ -193,23 +216,6 @@ class TestHumbert5:
         assert is_tangent(conic, ProjLine((0, 0, 1)))
         s1, s2 = conic_line_meet(conic, ProjLine((0, 0, 1)))
         assert s1 == s2
-
-    def test_closed_form_mismatch_guard_fires(self, monkeypatch):
-        # wire check: a perturbed closed form must raise, never pass silently
-        import mcycle.kummer as km
-        from mcycle.errors import ClosedFormMismatch
-
-        real = km.humbert5_coeffs
-
-        def corrupted(p):
-            p1, p2, p3, p4, p5, p6 = real(p)
-            return p1, p2 + 1, p3, p4, p5, p6
-
-        monkeypatch.setattr(km, "humbert5_coeffs", corrupted)
-        with pytest.raises(ClosedFormMismatch) as exc:
-            km.humbert5_conic(ModuliParams(2, 3, 5))
-        assert exc.value.closed_form is not None
-        assert exc.value.determinant is not None
 
 
 def _resultant_quadratics(p, q):

@@ -4,7 +4,10 @@ reals/complexes with conservative error accounting.
 Values stay exact (Rat / QuadVal) until an operation leaves the quadratic
 closure (nested radicals, logs); from there on BigReal / BigComplex carry an
 absolute error bound alongside the mpmath value, so reported digits are
-trustworthy.
+trustworthy. The two share one midpoint-radius core (`_Ball`): the same
+error-propagation rule for + - * /, with the complex ball's radius bounding
+the modulus of its error. A BigReal meeting a BigComplex is promoted to the
+complex type, so mixed expressions need no hand conversion.
 """
 from __future__ import annotations
 
@@ -270,13 +273,7 @@ class QuadVal:
     def to_mpf(self, dps: int) -> mpf:
         if self.is_complex:
             raise ValueError("complex QuadVal has no mpf value")
-        with workdps(dps + 10):
-            v = mpf(self.rat.numerator) / self.rat.denominator
-            if self.coef != 0:
-                v += (mpf(self.coef.numerator) / self.coef.denominator) * mp.sqrt(
-                    mpf(self.rad.numerator) / self.rad.denominator
-                )
-            return +v
+        return self.to_mpc(dps).real
 
     def to_mpc(self, dps: int) -> mpc:
         with workdps(dps + 10):
@@ -327,39 +324,29 @@ def _eps(dps: int) -> mpf:
     return mpf(10) ** (1 - dps)
 
 
-class BigReal:
-    """Arbitrary-precision real with a tracked absolute error bound.
+class _Ball:
+    """Error-tracked arbitrary-precision number, the one rule shared by
+    BigReal (an mpf value) and BigComplex (an mpc value).
 
-    `val` is an mpf computed at `dps` working digits; `err` bounds
-    |true - val|. Guaranteed decimal digits are derived, never asserted.
+    `val` is computed at `dps` working digits; `err` bounds |true - val|
+    (the modulus for complex values). Every operation propagates the operand
+    errors and adds the rounding of its result, so guaranteed decimal digits
+    are derived, never asserted. Mixed operands meet in the wider type.
     """
 
     __slots__ = ("val", "err", "dps")
+    _mp_type = mpf
 
     def __init__(self, val, err=0, dps: int = 50):
         if dps < 16:
             raise ValueError("working precision must be at least 16 digits")
         self.dps = dps
         with workdps(dps):
-            self.val = mpf(val)
+            self.val = self._mp_type(val)
             self.err = mpf(err)
         if self.err < 0:
             raise ValueError("negative error bound")
 
-    # -- constructors --------------------------------------------------------
-    @staticmethod
-    def from_rat(r, dps: int = 50) -> "BigReal":
-        r = Fraction(r)
-        with workdps(dps):
-            v = mpf(r.numerator) / r.denominator
-        return BigReal(v, abs(v) * _eps(dps), dps)
-
-    @staticmethod
-    def exact_float(x: float, dps: int = 50) -> "BigReal":
-        """Wrap a float taken as exact (floats are dyadic rationals)."""
-        return BigReal(mpf(x), 0, dps)
-
-    # -- derived precision ----------------------------------------------------
     @property
     def digits(self) -> int:
         """Count of guaranteed significant decimal digits."""
@@ -373,20 +360,9 @@ class BigReal:
                 return 0
             return int(mp.floor(mp.log10(q)))
 
-    def _binop_dps(self, other) -> int:
-        return max(self.dps, other.dps if isinstance(other, (BigReal, BigComplex)) else 16)
+    def _binop_dps(self, other: "_Ball") -> int:
+        return max(self.dps, other.dps)
 
-    @staticmethod
-    def _coerce(x, dps) -> "BigReal":
-        if isinstance(x, BigReal):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return BigReal.from_rat(Fraction(x), dps)
-        if isinstance(x, QuadVal):
-            return x.to_bigreal(dps)
-        return NotImplemented
-
-    # -- arithmetic ------------------------------------------------------------
     def __add__(self, other):
         o = self._coerce(other, self.dps)
         if o is NotImplemented:
@@ -394,13 +370,13 @@ class BigReal:
         dps = self._binop_dps(o)
         with workdps(dps):
             v = self.val + o.val
-            return BigReal(v, self.err + o.err + abs(v) * _eps(dps), dps)
+            return type(self)(v, self.err + o.err + abs(v) * _eps(dps), dps)
 
     __radd__ = __add__
 
     def __neg__(self):
         with workdps(self.dps):
-            return BigReal(-self.val, self.err, self.dps)
+            return type(self)(-self.val, self.err, self.dps)
 
     def __sub__(self, other):
         o = self._coerce(other, self.dps)
@@ -424,7 +400,7 @@ class BigReal:
                 + self.err * o.err
                 + abs(v) * _eps(dps)
             )
-            return BigReal(v, err, dps)
+            return type(self)(v, err, dps)
 
     __rmul__ = __mul__
 
@@ -438,11 +414,48 @@ class BigReal:
                 raise InsufficientPrecision("divisor not bounded away from zero")
             v = self.val / o.val
             err = (self.err + abs(v) * o.err) / (abs(o.val) - o.err) + abs(v) * _eps(dps)
-            return BigReal(v, err, dps)
+            return type(self)(v, err, dps)
 
     def __rtruediv__(self, other):
         o = self._coerce(other, self.dps)
+        if o is NotImplemented:
+            return o
         return o / self
+
+    def __abs__(self) -> "BigReal":
+        with workdps(self.dps):
+            return BigReal(abs(self.val), self.err, self.dps)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.val!r}, err={self.err!r}, dps={self.dps})"
+
+
+class BigReal(_Ball):
+    """Arbitrary-precision real with a tracked absolute error bound."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def from_rat(r, dps: int = 50) -> "BigReal":
+        r = Fraction(r)
+        with workdps(dps):
+            v = mpf(r.numerator) / r.denominator
+        return BigReal(v, abs(v) * _eps(dps), dps)
+
+    @staticmethod
+    def exact_float(x: float, dps: int = 50) -> "BigReal":
+        """Wrap a float taken as exact (floats are dyadic rationals)."""
+        return BigReal(mpf(x), 0, dps)
+
+    @staticmethod
+    def _coerce(x, dps) -> "BigReal":
+        if isinstance(x, BigReal):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return BigReal.from_rat(Fraction(x), dps)
+        if isinstance(x, QuadVal):
+            return x.to_bigreal(dps)
+        return NotImplemented
 
     def sqrt(self) -> "BigReal":
         with workdps(self.dps):
@@ -474,122 +487,29 @@ class BigReal:
                 prop = abs(v) * (mp.exp(self.err) - 1)
             return BigReal(v, prop + abs(v) * _eps(self.dps), self.dps)
 
-    def __abs__(self):
-        with workdps(self.dps):
-            return BigReal(abs(self.val), self.err, self.dps)
-
     def __float__(self):
         return float(self.val)
 
-    def __repr__(self):
-        return f"BigReal({self.val!r}, err={self.err!r}, dps={self.dps})"
-
-    # -- serialization -----------------------------------------------------------
     def to_json(self) -> dict:
         with workdps(self.dps):
             return {"value": mp.nstr(self.val, max(self.digits, 1), strip_zeros=False),
                     "digits": self.digits}
 
 
-class BigComplex:
+class BigComplex(_Ball):
     """Arbitrary-precision complex with a tracked absolute (modulus) error bound."""
 
-    __slots__ = ("val", "err", "dps")
-
-    def __init__(self, val, err=0, dps: int = 50):
-        if dps < 16:
-            raise ValueError("working precision must be at least 16 digits")
-        self.dps = dps
-        with workdps(dps):
-            self.val = mpc(val)
-            self.err = mpf(err)
-        if self.err < 0:
-            raise ValueError("negative error bound")
+    __slots__ = ()
+    _mp_type = mpc
 
     @staticmethod
     def _coerce(x, dps) -> "BigComplex":
         if isinstance(x, BigComplex):
             return x
-        if isinstance(x, BigReal):
-            return BigComplex(x.val, x.err, x.dps)
-        if isinstance(x, (int, Fraction)):
-            br = BigReal.from_rat(Fraction(x), dps)
-            return BigComplex(br.val, br.err, dps)
         if isinstance(x, QuadVal):
             return x.to_bigcomplex(dps)
-        return NotImplemented
-
-    def _binop_dps(self, other) -> int:
-        return max(self.dps, other.dps if isinstance(other, (BigReal, BigComplex)) else 16)
-
-    @property
-    def digits(self) -> int:
-        if self.err == 0:
-            return self.dps
-        if self.val == 0:
-            return 0
-        with workdps(self.dps):
-            q = abs(self.val) / self.err
-            if q <= 1:
-                return 0
-            return int(mp.floor(mp.log10(q)))
-
-    def __add__(self, other):
-        o = self._coerce(other, self.dps)
-        if o is NotImplemented:
-            return o
-        dps = self._binop_dps(o)
-        with workdps(dps):
-            v = self.val + o.val
-            return BigComplex(v, self.err + o.err + abs(v) * _eps(dps), dps)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        with workdps(self.dps):
-            return BigComplex(-self.val, self.err, self.dps)
-
-    def __sub__(self, other):
-        o = self._coerce(other, self.dps)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other, self.dps)
-        if o is NotImplemented:
-            return o
-        dps = self._binop_dps(o)
-        with workdps(dps):
-            v = self.val * o.val
-            err = (
-                abs(self.val) * o.err
-                + abs(o.val) * self.err
-                + self.err * o.err
-                + abs(v) * _eps(dps)
-            )
-            return BigComplex(v, err, dps)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other, self.dps)
-        if o is NotImplemented:
-            return o
-        dps = self._binop_dps(o)
-        with workdps(dps):
-            if abs(o.val) <= 2 * o.err:
-                raise InsufficientPrecision("divisor not bounded away from zero")
-            v = self.val / o.val
-            err = (self.err + abs(v) * o.err) / (abs(o.val) - o.err) + abs(v) * _eps(dps)
-            return BigComplex(v, err, dps)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other, self.dps)
-        return o / self
+        r = BigReal._coerce(x, dps)
+        return r if r is NotImplemented else BigComplex(r.val, r.err, r.dps)
 
     def sqrt(self) -> "BigComplex":
         """Principal branch."""
@@ -602,10 +522,6 @@ class BigComplex:
                 err = mp.sqrt(self.err) + abs(v) * _eps(self.dps)
             return BigComplex(v, err, self.dps)
 
-    def __abs__(self) -> BigReal:
-        with workdps(self.dps):
-            return BigReal(abs(self.val), self.err, self.dps)
-
     def conjugate(self) -> "BigComplex":
         with workdps(self.dps):
             return BigComplex(self.val.conjugate(), self.err, self.dps)
@@ -617,9 +533,6 @@ class BigComplex:
     @property
     def imag(self) -> BigReal:
         return BigReal(self.val.imag, self.err, self.dps)
-
-    def __repr__(self):
-        return f"BigComplex({self.val!r}, err={self.err!r}, dps={self.dps})"
 
     def to_json(self) -> dict:
         with workdps(self.dps):

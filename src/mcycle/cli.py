@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--bound", type=int, default=500)
     q.add_argument("--tol", type=float, default=1e-8)
     q.add_argument("--adaptive", action="store_true")
-    q.add_argument("--q-order", dest="q_order", type=int, default=None)
     q.set_defaults(fn=_cmd_greens)
 
     p = sub.add_parser("bw-cases", help="Birkenhake-Wilhelm table rows")

@@ -123,15 +123,12 @@ def f_p_eval(d: BlowupLocalData, v) -> BigComplex:
         if (as_quadval(v) - d.v0_minus).is_zero():
             raise PoleEvaluation("evaluation at v0-")
         v = as_quadval(v).to_bigcomplex(d.dps)
-    elif isinstance(v, BigReal):
-        v = BigComplex(v.val, v.err, v.dps)
     v0p = d.v0_plus.to_bigcomplex(d.dps)
     v0m = d.v0_minus.to_bigcomplex(d.dps)
     den = v - v0m
     if abs(den).val <= den.err:
         raise PoleEvaluation("evaluation at (or indistinguishably near) v0-")
-    c = BigComplex(d.norm_const.val, d.norm_const.err, d.norm_const.dps)
-    return c * (v - v0p) / den
+    return d.norm_const * (v - v0p) / den
 
 
 @dataclass(frozen=True)
@@ -219,11 +216,6 @@ class RegulatorResult:
         }
 
 
-def _principal_sqrt(x: QuadVal, dps: int) -> BigComplex:
-    """Principal branch of sqrt of an exact value, numerically."""
-    return x.to_bigcomplex(dps).sqrt()
-
-
 def regulator_h4(
     a1, a3, precision: int = 50, recognize: bool = False
 ) -> RegulatorResult:
@@ -266,7 +258,7 @@ def regulator_h4(
         s_val = sextic_eval(params, xi, a2)
         if s_val.is_zero():
             raise BranchAtRamification("S(x_i, a1*a3, 1) = 0: point on the sextic")
-        w_plus = _principal_sqrt(s_val, dps)
+        w_plus = s_val.to_bigcomplex(dps).sqrt()
         denom = (xi + half).to_bigcomplex(dps)
         v_plus = w_plus / denom
         v_minus = -v_plus

@@ -235,7 +235,8 @@ def _line_basis(l: ProjLine) -> tuple[ProjPoint, ProjPoint]:
 
 def restrict_to_line(c: Conic, l: ProjLine):
     """Coefficients (A, B, C) of the conic restricted to s*P0 + t*P1 on l,
-    as A s^2 + B st + C t^2, together with the basis (P0, P1)."""
+    as A s^2 + B st + C t^2, together with the basis (P0, P1); LineOnConic
+    when the restriction vanishes identically (l is a component of c)."""
     P0, P1 = _line_basis(l)
     x0, y0, z0 = P0.coords
     x1, y1, z1 = P1.coords
@@ -246,14 +247,14 @@ def restrict_to_line(c: Conic, l: ProjLine):
     B = (2 * p1 * x0 * x1 + 2 * p2 * y0 * y1 + 2 * p3 * z0 * z1
          + p4 * (x0 * y1 + x1 * y0) + p5 * (x0 * z1 + x1 * z0)
          + p6 * (y0 * z1 + y1 * z0))
+    if A.is_zero() and B.is_zero() and C.is_zero():
+        raise LineOnConic("restriction vanishes identically")
     return A, B, C, P0, P1
 
 
 def restriction_discriminant(c: Conic, l: ProjLine) -> QuadVal:
     """B^2 - 4AC of the restriction; zero iff tangent (exact)."""
     A, B, C, _, _ = restrict_to_line(c, l)
-    if A.is_zero() and B.is_zero() and C.is_zero():
-        raise LineOnConic("restriction vanishes identically")
     return B * B - 4 * A * C
 
 
@@ -301,8 +302,6 @@ def conic_line_meet(c: Conic, l: ProjLine) -> tuple[ProjPoint, ProjPoint]:
     succeed; over a quadratic field the discriminant must be a square in the
     field (else the points live in a biquadratic extension, out of scope)."""
     A, B, C, P0, P1 = restrict_to_line(c, l)
-    if A.is_zero() and B.is_zero() and C.is_zero():
-        raise LineOnConic("restriction vanishes identically")
     if A.is_zero():
         # t=0 root (P0) plus B s + C t = 0 -> s = -C, t = B
         if B.is_zero():
@@ -355,8 +354,6 @@ def is_tangent(c: Conic, l: ProjLine) -> bool:
 
 def incident(p: ProjPoint, obj) -> bool:
     """Exact evaluation of the defining form at p."""
-    if isinstance(obj, ProjLine):
-        return obj.eval_at(p).is_zero()
-    if isinstance(obj, Conic):
+    if isinstance(obj, (ProjLine, Conic)):
         return obj.eval_at(p).is_zero()
     raise TypeError("obj must be a ProjLine or Conic")

@@ -41,12 +41,14 @@ class UHPoint:
     im: BigReal
 
     def __init__(self, re, im, dps: int = 30):
-        if not isinstance(re, BigReal):
-            re = BigReal.from_rat(Fraction(re), dps) if isinstance(re, (int, Fraction, str)) \
-                else BigReal(mpf(re), 0, dps)
-        if not isinstance(im, BigReal):
-            im = BigReal.from_rat(Fraction(im), dps) if isinstance(im, (int, Fraction, str)) \
-                else BigReal(mpf(im), 0, dps)
+        def big(x) -> BigReal:
+            if isinstance(x, BigReal):
+                return x
+            if isinstance(x, (int, Fraction, str)):
+                return BigReal.from_rat(Fraction(x), dps)
+            return BigReal(mpf(x), 0, dps)
+
+        re, im = big(re), big(im)
         if not (im.val > 0):
             raise ValueError("im must be positive")
         object.__setattr__(self, "re", re)

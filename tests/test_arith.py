@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -202,6 +203,18 @@ class TestBigComplex:
         z = QuadVal(0, 1, 3).to_bigcomplex(60)
         w = z - QuadVal(0, 1, 3).to_bigcomplex(60)
         assert abs(w.val) < mpf(10) ** -55
+
+    def test_mixed_real_complex_promotes_exactly(self):
+        # a BigReal operand meets a BigComplex exactly as if promoted by hand,
+        # in either order: the shared core coerces to the wider type
+        x = QuadVal(F(-3, 7), 2, 5).to_bigreal(45)
+        z = QuadVal(F(1, 3), F(-2, 5), -7).to_bigcomplex(40)
+        xz = BigComplex(x.val, x.err, x.dps)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for got, want in ((op(x, z), op(xz, z)), (op(z, x), op(z, xz))):
+                assert isinstance(got, BigComplex)
+                assert (got.val, got.err, got.dps) == (want.val, want.err, want.dps)
+        assert type(abs(x)) is BigReal and type(abs(z)) is BigReal
 
 
 class TestUniPoly:

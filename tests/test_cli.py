@@ -153,11 +153,16 @@ def test_greens_combo_with_file(tmp_path, capsys):
 def test_greens_cross_check(tmp_path, capsys):
     bfile = tmp_path / "boundary.json"
     bfile.write_text(json.dumps({"points": [{"tau": "1/3,8/5", "a": "1"}]}))
-    code, doc = run_cli(capsys, "greens", "cross-check", "--a1", "2", "--a3", "3",
-                        "--precision", "25", "--boundary", str(bfile),
-                        "--y", "0,2", "--bound", "60")
+    argv = ["greens", "cross-check", "--a1", "2", "--a3", "3", "--precision", "25",
+            "--boundary", str(bfile), "--y", "0,2", "--bound", "60"]
+    code, doc = run_cli(capsys, *argv)
     assert code == 0
     assert "difference" in doc["report"]
+    # the pairing with log|R| is defined in the k-1 convention only
+    assert doc["meta"]["settings"]["q_order"] == "k-1"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--q-order", "5"])
+    assert exc.value.code == 2
 
 
 def test_regulator_sweep_ordered(tmp_path, capsys):

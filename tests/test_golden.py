@@ -44,6 +44,15 @@ CASES = [
     ("refuse_zero_denominator", ["cycle", "--params", "2,3/2,-3"], 1),
     ("refuse_branch_at_ramification", ["regulator", "--a1", "-2", "--a3", "-3"], 1),
     ("refuse_invalid_moduli", ["regulator", "--a1", "1", "--a3", "3"], 1),
+    # complex c-points and ratio: the BigComplex arithmetic end to end
+    ("regulator_recognize_complex", ["regulator", "--a1", "3", "--a3=-2",
+                                     "--precision", "60", "--recognize"], 0),
+    ("regulator_p1000", ["regulator", "--a1", "2", "--a3", "3",
+                         "--precision", "1000"], 0),
+    ("greens_cross_check", ["greens", "cross-check", "--a1", "2", "--a3", "3",
+                            "--precision", "30", "--boundary",
+                            "{golden}/boundary.json", "--y", "1/2,3/2",
+                            "--bound", "60"], 0),
 ]
 
 

@@ -328,16 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--bound", type=int, default=500)
         q.add_argument("--tol", type=float, default=1e-8)
         q.add_argument("--adaptive", action="store_true")
-        q.add_argument("--q-order", dest="q_order", type=int, default=None)
 
     q = gsub.add_parser("eval")
     q.add_argument("--k", type=int, default=2)
     _common_greens(q)
+    q.add_argument("--q-order", dest="q_order", type=int, default=None)
     q.set_defaults(fn=_cmd_greens)
     q = gsub.add_parser("hecke")
     q.add_argument("--s", type=int, default=2)
     q.add_argument("--m", type=int, required=True)
     _common_greens(q)
+    q.add_argument("--q-order", dest="q_order", type=int, default=None)
     q.set_defaults(fn=_cmd_greens)
     q = gsub.add_parser("combo")
     q.add_argument("--pp", required=True, help="principal-part JSON file")

@@ -7,9 +7,14 @@ float64 fast path: exact-coefficient closed forms of Q_n below t = 2 and the
 all-positive hypergeometric series above (validated against the quadrature to
 better than 1e-11 relative), accumulated with math.fsum over a canonical
 enumeration order, so identical inputs give bit-identical output. green_k
-(PSL2(Z), determinant 1) and green_det_m_direct share one cached enumerator of
-integer matrices of determinant m and one evaluate-and-budget path; Hecke
-translates, principal-part combinations and the regulator cross-check combine
+(PSL2(Z), determinant 1) and green_det_m_direct share one enumerator of
+integer matrices of determinant m and one evaluate-and-budget path. The
+enumerator is vectorised: it takes the rows of c in fixed-size chunks, finds
+each (c, d) block's first matrix by gcd and extended Euclid over numpy
+arrays, and expands the blocks into preallocated int64 arrays, after
+refusing a box whose term count would not fit in memory. One box is cached;
+a smaller bound for the same m is a mask over it. Hecke translates,
+principal-part combinations and the regulator cross-check combine
 GreensValues through one weighted sum. Truncation
 dominates the error budget; the tail estimate is the outer-shell mass
 |sum(N) - sum(N/2)|, which over-covers the true remainder under the observed
@@ -18,10 +23,10 @@ geometric shell decay.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -278,52 +283,133 @@ def apply_matrix(m: tuple, z: UHPoint) -> UHPoint:
 # determinant-m enumeration (PSL2(Z) is m = 1)
 # ---------------------------------------------------------------------------
 
-def _t_range(x0: int, step: int, bound: int) -> tuple[int, int]:
+_CHUNK_CELLS = 1 << 16  # (c, d) cells per chunk of rows of c
+# peak RSS of building and evaluating the N = 1000 box (592 MB for 4.87M
+# terms), per term, rounded up; the builder refuses a box whose terms would
+# need more than _memory_budget_bytes() at this rate
+_BYTES_PER_TERM = 128
+
+# the one cached box: (m, bound, (a, b, c, d, maxe)) or None
+_box = None
+
+
+def _memory_budget_bytes() -> int:
+    """Half of physical memory."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+
+
+def _inverse_mod(u: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """pow(u, -1, n) elementwise, for u coprime to n >= 1: the inverse in
+    [0, n), 0 for n = 1; extended Euclid on the entries still running."""
+    x = np.empty_like(n)
+    idx = np.arange(len(n))
+    r0, r1 = n, u % n  # r0 = s0*u and r1 = s1*u mod n
+    s0, s1 = np.zeros_like(n), np.ones_like(n)
+    while True:
+        done = r1 == 0  # then r0 = gcd = 1 and s0 is the inverse
+        x[idx[done]] = s0[done]
+        live = ~done
+        idx, r0, r1, s0, s1 = (y[live] for y in (idx, r0, r1, s0, s1))
+        if not idx.size:
+            return x % n
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+
+
+def _t_range(x0, step, bound: int):
     """(lo, hi) such that |x0 + t*step| <= bound exactly for lo <= t <= hi;
-    step != 0."""
-    if step < 0:
-        x0, step = -x0, -step
+    step > 0, elementwise."""
     return -((bound + x0) // step), (bound - x0) // step
 
 
-def _det_m_blocks(m: int, bound: int):
-    """Yield one row (first a, first b, a step, b step, count, c, d) per (c, d)
-    block of integer matrices of determinant m with max |entry| <= bound, one
-    per +-pair (c > 0, or c = 0 and d > 0); c, then d, then a ascending."""
-    for d in range(1, bound + 1):
-        if m % d == 0 and m // d <= bound:
-            yield m // d, -bound, 0, 1, 2 * bound + 1, 0, d
-    for c in range(1, bound + 1):
-        for d in range(-bound, bound + 1):
-            g = math.gcd(c, d)
-            if m % g:
-                continue
-            cs, ds = c // g, d // g
-            x = pow(ds, -1, cs)  # x*ds - y*cs = 1, scaled to determinant m
-            a0, b0 = x * (m // g), (x * ds - 1) // cs * (m // g)
-            lo, hi = _t_range(a0, cs, bound)
-            if ds:
-                blo, bhi = _t_range(b0, ds, bound)
-                lo, hi = max(lo, blo), min(hi, bhi)
-            elif abs(b0) > bound:
-                continue
-            if lo <= hi:
-                yield a0 + lo * cs, b0 + lo * ds, cs, ds, hi - lo + 1, c, d
+def _det_m_blocks(m: int, c: int, c_end: int, bound: int) -> np.ndarray:
+    """One row (first a, first b, a step, b step, count, c, d) per nonempty
+    (c, d) block of integer matrices of determinant m with max |entry| <=
+    bound, c <= c' < c_end, one per +-pair; c, then d ascending; within a
+    block a ascends by the a step."""
+    cc, dd = (x.ravel() for x in np.meshgrid(np.arange(c, c_end, dtype=np.int64),
+                                              np.arange(-bound, bound + 1, dtype=np.int64),
+                                              indexing="ij"))
+    g = np.gcd(cc, dd)
+    keep = m % g == 0
+    cc, dd, g = cc[keep], dd[keep], g[keep]
+    cs, ds, mg = cc // g, dd // g, m // g
+    x = _inverse_mod(ds, cs)  # x*ds - y*cs = 1, scaled to determinant m
+    a0, b0 = x * mg, (x * ds - 1) // cs * mg
+    lo, hi = _t_range(a0, cs, bound)
+    nz = ds != 0  # ds = 0 (d = 0): b is b0 throughout the block
+    blo, bhi = _t_range(np.where(ds < 0, -b0, b0), np.maximum(np.abs(ds), 1), bound)
+    lo = np.where(nz, np.maximum(lo, blo), lo)
+    hi = np.where(nz, np.minimum(hi, bhi), hi)
+    ok = (lo <= hi) & (nz | (np.abs(b0) <= bound))
+    lo, hi = lo[ok], hi[ok]
+    cs, ds = cs[ok], ds[ok]
+    return np.stack([a0[ok] + lo * cs, b0[ok] + lo * ds, cs, ds, hi - lo + 1,
+                     cc[ok], dd[ok]]).astype(np.int32)
 
 
-@lru_cache(maxsize=2)
+def _build_box(m: int, bound: int) -> tuple:
+    """The arrays (a, b, c, d, maxe) of _det_m_arrays, built from row chunks
+    of c; raises BudgetExceeded before allocating a box that would not fit."""
+    budget_terms = _memory_budget_bytes() // _BYTES_PER_TERM
+    d = np.arange(1, bound + 1, dtype=np.int64)
+    d = d[(m % d == 0) & (m // d <= bound)]
+    zero, one = np.zeros_like(d), np.ones_like(d)
+    # the c = 0 blocks: a = m/d, b from -bound to bound
+    chunks = [np.stack([m // d, -bound * one, zero, one, (2 * bound + 1) * one, zero, d]
+                       ).astype(np.int32)]
+    total = len(d) * (2 * bound + 1)
+    rows = max(1, _CHUNK_CELLS // (2 * bound + 1))
+    for c in range(1, bound + 1, rows):
+        chunks.append(_det_m_blocks(m, c, min(c + rows, bound + 1), bound))
+        total += int(chunks[-1][4].sum(dtype=np.int64))
+        if total > budget_terms:
+            raise BudgetExceeded(
+                f"bound {bound} needs over {budget_terms} terms "
+                f"({_BYTES_PER_TERM} bytes each), more than half of physical memory"
+            )
+    out = tuple(np.empty(total, dtype=np.int64) for _ in range(5))
+    at = 0
+    for blk in chunks:
+        a0, b0, sa, sb, n, c, d = blk.astype(np.int64)
+        end = at + int(n.sum())
+        # k: position of each matrix inside its (c, d) block
+        k = np.arange(end - at, dtype=np.int64) - np.repeat(np.cumsum(n) - n, n)
+        a, b, cc, dd, maxe = (x[at:end] for x in out)
+        a[:] = np.repeat(a0, n) + k * np.repeat(sa, n)
+        b[:] = np.repeat(b0, n) + k * np.repeat(sb, n)
+        cc[:] = np.repeat(c, n)
+        dd[:] = np.repeat(d, n)
+        np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(cc), np.abs(dd)),
+                   out=maxe)
+        at = end
+    return out
+
+
 def _det_m_arrays(m: int, bound: int) -> tuple:
-    """The matrices of _det_m_blocks in canonical order as int64 arrays
-    (a, b, c, d, maxe); m = 1 gives the PSL2(Z) representatives."""
-    rows = np.fromiter(chain.from_iterable(_det_m_blocks(m, bound)), dtype=np.int64)
-    a0, b0, sa, sb, n, c, d = rows.reshape(-1, 7).T
-    # k: position of each matrix inside its (c, d) block
-    k = np.arange(int(n.sum()), dtype=np.int64) - np.repeat(np.cumsum(n) - n, n)
-    a = np.repeat(a0, n) + k * np.repeat(sa, n)
-    b = np.repeat(b0, n) + k * np.repeat(sb, n)
-    c, d = np.repeat(c, n), np.repeat(d, n)
-    maxe = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
-    return a, b, c, d, maxe
+    """The integer matrices of determinant m with max |entry| <= bound, one
+    per +-pair (c > 0, or c = 0 and d > 0), in canonical order (c, then d,
+    then a ascending), as int64 arrays (a, b, c, d, maxe); m = 1 gives the
+    PSL2(Z) representatives.
+
+    One box is cached: a request for the same m and a bound no larger is the
+    mask maxe <= bound over it, which keeps the order; another m or a larger
+    bound builds a new box in its place."""
+    global _box
+    box = _box
+    if box is not None and box[0] == m and bound <= box[1]:
+        arrays = box[2]
+        if bound == box[1]:
+            return arrays
+        keep = arrays[4] <= bound
+        return tuple(x[keep] for x in arrays)
+    _box = None  # release the old box before building the new one
+    arrays = _build_box(m, bound)
+    for x in arrays:
+        x.flags.writeable = False
+    _box = (m, bound, arrays)
+    return arrays
 
 
 def _green_single(order: int, m: int, z1: complex, z2: complex, bound: int,

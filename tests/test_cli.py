@@ -150,6 +150,31 @@ def test_greens_combo_with_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_greens_combo_rejects_q_order(tmp_path, capsys):
+    pp = tmp_path / "pp.json"
+    pp.write_text(json.dumps({"coeffs": {"1": "1", "2": "-3/2"}}))
+    argv = ["greens", "combo", "--pp", str(pp), "--j", "1",
+            "--z1", "0,2", "--z2", "1/3,8/5", "--bound", "40"]
+    code, doc = run_cli(capsys, *argv)
+    assert code == 0
+    # greens_combo evaluates every Hecke translate in the k-1 convention
+    assert doc["meta"]["settings"]["q_order"] == "k-1"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--q-order", "5"])
+    assert exc.value.code == 2
+
+
+def test_greens_box_over_memory_budget_is_a_json_error(capsys, monkeypatch):
+    import mcycle.greens as greens
+
+    monkeypatch.setattr(greens, "_box", None)
+    monkeypatch.setattr(greens, "_memory_budget_bytes", lambda: 1000 * greens._BYTES_PER_TERM)
+    code, doc = run_cli(capsys, "greens", "eval", "--z1", "0,2", "--z2", "1/2,2",
+                        "--bound", "50", "--adaptive")
+    assert code == 1
+    assert doc["error"]["type"] == "BudgetExceeded"
+
+
 def test_greens_cross_check(tmp_path, capsys):
     bfile = tmp_path / "boundary.json"
     bfile.write_text(json.dumps({"points": [{"tau": "1/3,8/5", "a": "1"}]}))

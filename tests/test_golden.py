@@ -40,6 +40,12 @@ CASES = [
                       "--z1", "0,2", "--z2", "1/3,8/5", "--bound", "60"], 0),
     ("greens_singular", ["greens", "eval", "--z1", "0,2", "--z2", "0,2",
                          "--bound", "60"], 1),
+    # adaptive levels 50 -> 100 -> 200, and a degree-3 Hecke translate at 100
+    ("greens_eval_adaptive", ["greens", "eval", "--k", "2", "--z1", "0,2",
+                              "--z2", "1/2,2", "--bound", "50", "--adaptive",
+                              "--tol", "1e-3"], 0),
+    ("greens_hecke_m3", ["greens", "hecke", "--s", "3", "--m", "3", "--z1", "0,2",
+                         "--z2", "1/3,8/5", "--bound", "100"], 0),
     ("refuse_repeated_root", ["regulator", "--a1", "-2", "--a3", "-1"], 1),
     ("refuse_zero_denominator", ["cycle", "--params", "2,3/2,-3"], 1),
     ("refuse_branch_at_ramification", ["regulator", "--a1", "-2", "--a3", "-3"], 1),

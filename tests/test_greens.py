@@ -369,3 +369,86 @@ def test_enumeration_counts_small_bound():
             assert got == brute, (m, bound)
             assert (maxe == np.maximum(np.maximum(abs(a), abs(b)),
                                        np.maximum(abs(c), abs(d)))).all()
+
+
+def _reference_det_m_arrays(m, bound):
+    """The scalar enumerator the vectorised builder replaced: one
+    pow(ds, -1, cs) per (c, d), blocks expanded by numpy."""
+    def t_range(x0, step):
+        if step < 0:
+            x0, step = -x0, -step
+        return -((bound + x0) // step), (bound - x0) // step
+
+    rows = []
+    for d in range(1, bound + 1):
+        if m % d == 0 and m // d <= bound:
+            rows.append((m // d, -bound, 0, 1, 2 * bound + 1, 0, d))
+    for c in range(1, bound + 1):
+        for d in range(-bound, bound + 1):
+            g = math.gcd(c, d)
+            if m % g:
+                continue
+            cs, ds = c // g, d // g
+            x = pow(ds, -1, cs)
+            a0, b0 = x * (m // g), (x * ds - 1) // cs * (m // g)
+            lo, hi = t_range(a0, cs)
+            if ds:
+                blo, bhi = t_range(b0, ds)
+                lo, hi = max(lo, blo), min(hi, bhi)
+            elif abs(b0) > bound:
+                continue
+            if lo <= hi:
+                rows.append((a0 + lo * cs, b0 + lo * ds, cs, ds, hi - lo + 1, c, d))
+    a0, b0, sa, sb, n, c, d = np.array(rows, dtype=np.int64).reshape(-1, 7).T
+    k = np.arange(int(n.sum()), dtype=np.int64) - np.repeat(np.cumsum(n) - n, n)
+    a = np.repeat(a0, n) + k * np.repeat(sa, n)
+    b = np.repeat(b0, n) + k * np.repeat(sb, n)
+    c, d = np.repeat(c, n), np.repeat(d, n)
+    maxe = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    return a, b, c, d, maxe
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want) == 5
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 12])
+def test_enumerator_matches_scalar_reference(m, monkeypatch):
+    import mcycle.greens as greens
+
+    for bound in (1, 2, 3, 5, 7, 10, 31, 60):
+        monkeypatch.setattr(greens, "_box", None)
+        _assert_same_arrays(_det_m_arrays(m, bound), _reference_det_m_arrays(m, bound))
+
+
+def test_enumerator_cache_order(monkeypatch):
+    # each request equals a fresh build: a bound after a larger one is a mask
+    # over the cached box and keeps it; another m or a larger bound replaces it
+    import mcycle.greens as greens
+
+    monkeypatch.setattr(greens, "_box", None)
+    for m, bound, box in ((1, 60, (1, 60)), (1, 17, (1, 60)), (1, 60, (1, 60)),
+                          (2, 40, (2, 40)), (1, 33, (1, 33)), (1, 50, (1, 50)),
+                          (1, 49, (1, 50)), (2, 25, (2, 25)), (3, 45, (3, 45)),
+                          (3, 1, (3, 45)), (1, 1, (1, 1))):
+        _assert_same_arrays(_det_m_arrays(m, bound), _reference_det_m_arrays(m, bound))
+        assert greens._box[:2] == box
+
+
+def test_box_over_memory_budget_refused(monkeypatch):
+    # the refusal compares the exact term count of the box with the budget
+    import mcycle.greens as greens
+
+    terms = len(_reference_det_m_arrays(1, 50)[0])
+    monkeypatch.setattr(greens, "_box", None)
+    monkeypatch.setattr(greens, "_memory_budget_bytes",
+                        lambda: (terms - 1) * greens._BYTES_PER_TERM)
+    with pytest.raises(BudgetExceeded):
+        green_k(2, Z1, Z2, TruncationPolicy(matrix_bound=50))
+    assert greens._box is None
+    monkeypatch.setattr(greens, "_memory_budget_bytes",
+                        lambda: terms * greens._BYTES_PER_TERM)
+    assert green_k(2, Z1, Z2, TruncationPolicy(matrix_bound=50)).terms_summed == terms

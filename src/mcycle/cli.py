@@ -202,15 +202,12 @@ def _policy_from(args) -> TruncationPolicy:
 
 def _cmd_greens(args) -> int:
     pol = _policy_from(args)
-    meta = _meta(bound=args.bound, tol=args.tol, adaptive=args.adaptive,
-                 q_order=args.q_order if getattr(args, "q_order", None) else "k-1")
+    meta = _meta(bound=args.bound, tol=args.tol, adaptive=args.adaptive, q_order="k-1")
     if args.greens_cmd == "eval":
-        g = green_k(args.k, _parse_uh(args.z1), _parse_uh(args.z2), pol,
-                    q_order=args.q_order)
+        g = green_k(args.k, _parse_uh(args.z1), _parse_uh(args.z2), pol)
         return _emit({"meta": meta, "greens": g.to_json()})
     if args.greens_cmd == "hecke":
-        g = hecke_green(args.s, args.m, _parse_uh(args.z1), _parse_uh(args.z2), pol,
-                        q_order=args.q_order)
+        g = hecke_green(args.s, args.m, _parse_uh(args.z1), _parse_uh(args.z2), pol)
         return _emit({"meta": meta, "greens": g.to_json()})
     if args.greens_cmd == "combo":
         with open(args.pp) as fh:
@@ -332,13 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     q = gsub.add_parser("eval")
     q.add_argument("--k", type=int, default=2)
     _common_greens(q)
-    q.add_argument("--q-order", dest="q_order", type=int, default=None)
     q.set_defaults(fn=_cmd_greens)
     q = gsub.add_parser("hecke")
     q.add_argument("--s", type=int, default=2)
     q.add_argument("--m", type=int, required=True)
     _common_greens(q)
-    q.add_argument("--q-order", dest="q_order", type=int, default=None)
     q.set_defaults(fn=_cmd_greens)
     q = gsub.add_parser("combo")
     q.add_argument("--pp", required=True, help="principal-part JSON file")

@@ -5,8 +5,10 @@ The high-precision entry point is legendre_q (tanh-sinh quadrature on the
 Laplace integral with an explicit truncation point). The lattice sums use a
 float64 fast path: exact-coefficient closed forms of Q_n below t = 2 and the
 all-positive hypergeometric series above (validated against the quadrature to
-better than 1e-11 relative), accumulated with math.fsum over a canonical
-enumeration order, so identical inputs give bit-identical output. green_k
+better than 1e-11 relative). The box is evaluated in fixed chunks of terms in
+canonical enumeration order, and the terms are summed exactly: integer
+mantissa parts bucketed by exponent, then rounded once, which is the value
+math.fsum returns. So identical inputs give bit-identical output. green_k
 (PSL2(Z), determinant 1) and green_det_m_direct share one enumerator of
 integer matrices of determinant m and one evaluate-and-budget path. The
 enumerator is vectorised: it takes the rows of c in fixed-size chunks, finds
@@ -27,7 +29,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from mpmath import mp, mpf, workdps
@@ -210,9 +211,11 @@ def _q_tables(order: int) -> tuple:
 
 
 def _horner(coeffs_low_to_high: np.ndarray, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for c in coeffs_low_to_high[::-1]:
-        acc = acc * x + c
+    """In place: each step rounds acc * x, then + c, as acc * x + c does."""
+    acc = np.full_like(x, coeffs_low_to_high[-1])
+    for c in coeffs_low_to_high[-2::-1]:
+        acc *= x
+        acc += c
     return acc
 
 
@@ -284,9 +287,11 @@ def apply_matrix(m: tuple, z: UHPoint) -> UHPoint:
 # ---------------------------------------------------------------------------
 
 _CHUNK_CELLS = 1 << 16  # (c, d) cells per chunk of rows of c
-# peak RSS of building and evaluating the N = 1000 box (592 MB for 4.87M
-# terms), per term, rounded up; the builder refuses a box whose terms would
-# need more than _memory_budget_bytes() at this rate
+# bytes per term of a box: the builder refuses a box whose terms would need
+# more than _memory_budget_bytes() at this rate. Building and evaluating the
+# N = 1000 box (4.87M terms) peaks at 267 MB, about 58 bytes per term, since
+# evaluation runs in chunks; 128 is the figure of whole-box evaluation
+# (592 MB), kept so that every refusal stays where it was
 _BYTES_PER_TERM = 128
 
 # the one cached box: (m, bound, (a, b, c, d, maxe)) or None
@@ -394,16 +399,18 @@ def _det_m_arrays(m: int, bound: int) -> tuple:
     PSL2(Z) representatives.
 
     One box is cached: a request for the same m and a bound no larger is the
-    mask maxe <= bound over it, which keeps the order; another m or a larger
-    bound builds a new box in its place."""
+    mask maxe <= bound over its rows with c <= bound (a prefix, as c
+    ascends), which keeps the order; another m or a larger bound builds a
+    new box in its place."""
     global _box
     box = _box
     if box is not None and box[0] == m and bound <= box[1]:
         arrays = box[2]
         if bound == box[1]:
             return arrays
-        keep = arrays[4] <= bound
-        return tuple(x[keep] for x in arrays)
+        n = np.searchsorted(arrays[2], bound, side="right")
+        keep = arrays[4][:n] <= bound
+        return tuple(x[:n][keep] for x in arrays)
     _box = None  # release the old box before building the new one
     arrays = _build_box(m, bound)
     for x in arrays:
@@ -412,28 +419,101 @@ def _det_m_arrays(m: int, bound: int) -> tuple:
     return arrays
 
 
+# frexp exponents of finite doubles run from -1073 to 1024; bucket index
+# e + _EXP_SHIFT, so a bucket holds integers of weight 2**(index - 1127)
+_EXP_SHIFT = 1074
+_EXP_BINS = 2099
+
+
+class _ExactSum:
+    """Exact running sums of float64 values in a few groups, rounded once when
+    read, which gives math.fsum's value for any union of the groups, signed or
+    absolute.
+
+    A value m * 2**e (np.frexp) has the 53-bit integer mantissa
+    M = |m| * 2**53. Its high 26 and low 27 bits go to the bucket (group,
+    sign, e). An add of at most 2**26 values makes every bucket sum of
+    np.bincount an integer below 2**53, so exact in float64; the running
+    totals are int64. Non-finite values are kept as flags and give fsum's
+    nan, inf or ValueError. Unlike fsum, no intermediate overflow is raised:
+    only a total beyond the float range is (OverflowError)."""
+
+    def __init__(self, groups: int):
+        # (high or low bits, group, sign, exponent), and a flat view per row
+        self._tot = np.zeros((2, groups, 2, _EXP_BINS), dtype=np.int64)
+        self._flat = self._tot.reshape(2, -1)
+        self._special = np.zeros((groups, 3), dtype=bool)  # nan, +inf, -inf
+
+    def add(self, vals: np.ndarray, group) -> None:
+        """Add vals to group, an int or an int (or bool) array like vals."""
+        m, e = np.frexp(vals)
+        key = e + (_EXP_SHIFT + _EXP_BINS * (2 * group + (m < 0)))
+        mhi = np.abs(m) * 2.0 ** 26
+        hi = np.floor(mhi)
+        nbins = self._flat.shape[1]
+        hib = np.bincount(key, hi, minlength=nbins)
+        if not math.isfinite(hib.sum()):
+            fin = np.isfinite(vals)
+            bad = ~fin
+            for g, x in zip(np.broadcast_to(group, vals.shape)[bad].tolist(),
+                            vals[bad].tolist()):
+                self._special[int(g), 0 if x != x else 1 if x > 0 else 2] = True
+            self.add(np.where(fin, vals, 0.0), group)
+            return
+        self._flat[0] += hib.astype(np.int64)
+        lo = (mhi - hi) * 2.0 ** 27
+        self._flat[1] += np.bincount(key, lo, minlength=nbins).astype(np.int64)
+
+    def total(self, groups, absolute: bool = False) -> float:
+        """The correctly rounded sum of the values in groups (of their
+        absolute values if absolute)."""
+        nan, pinf, ninf = self._special[list(groups)].any(axis=0)
+        if nan or pinf or ninf:
+            if pinf and ninf and not absolute:
+                raise ValueError("-inf + inf in fsum")
+            return math.nan if nan else math.inf if pinf or absolute else -math.inf
+        exact = 0
+        for g in groups:
+            for neg in (0, 1):
+                hi, lo = self._tot[:, g, neg]
+                part = 0
+                for i in np.flatnonzero(hi | lo).tolist():
+                    part += ((int(hi[i]) << 27) + int(lo[i])) << i
+                exact += -part if neg and not absolute else part
+        return exact / (1 << (_EXP_SHIFT + 53))
+
+
+_EVAL_CHUNK = 1 << 15  # terms per evaluation chunk of _green_single
+
+
 def _green_single(order: int, m: int, z1: complex, z2: complex, bound: int,
                   singular_threshold: float) -> GreensValue:
-    """-2 * the sum of Q_order over the determinant-m box, in canonical order
-    with exact accumulation; the tail is the outer-shell mass plus the float
-    rounding budget. Raises OnSingularLocus if some enumerated gamma z2 comes
-    within singular_threshold of z1."""
+    """-2 * the sum of Q_order over the determinant-m box, evaluated in chunks
+    of _EVAL_CHUNK terms in canonical order and summed exactly; the tail is
+    the outer-shell mass plus the float rounding budget. Raises
+    OnSingularLocus, before evaluating Q in that chunk, if some enumerated
+    gamma z2 comes within singular_threshold of z1."""
     a, b, c, d, maxe = _det_m_arrays(m, bound)
-    gz2 = (a * z2 + b) / (c * z2 + d)
-    diff2 = np.abs(z1 - gz2) ** 2
-    if np.min(diff2) < singular_threshold ** 2:
-        raise OnSingularLocus("z1 lies on (or too near) the orbit of z2")
-    vals = _q_eval_array(order, 1.0 + diff2 / (2.0 * z1.imag * gz2.imag))
-    full = math.fsum(vals)
-    half = math.fsum(vals[maxe <= bound // 2])
+    sums = _ExactSum(2)  # group 1: the inner box, maxe <= bound // 2
+    # an empty box still runs one (empty) chunk, where np.min refuses it
+    for i in range(0, max(len(a), 1), _EVAL_CHUNK):
+        s = slice(i, i + _EVAL_CHUNK)
+        gz2 = (a[s] * z2 + b[s]) / (c[s] * z2 + d[s])
+        diff2 = np.abs(z1 - gz2) ** 2
+        if np.min(diff2) < singular_threshold ** 2:
+            raise OnSingularLocus("z1 lies on (or too near) the orbit of z2")
+        vals = _q_eval_array(order, 1.0 + diff2 / (2.0 * z1.imag * gz2.imag))
+        sums.add(vals, maxe[s] <= bound // 2)
+    full = sums.total((0, 1))
+    half = sums.total((1,))
     value = -2.0 * full
     shell = 2.0 * abs(full - half)
-    round_err = 2.0 * _PER_TERM_REL * math.fsum(np.abs(vals)) + 1e-15 * abs(value)
+    round_err = 2.0 * _PER_TERM_REL * sums.total((0, 1), absolute=True) + 1e-15 * abs(value)
     tail = shell + round_err
     return GreensValue(
         value=BigReal(mpf(value), mpf(tail), 16),
         tail_estimate=BigReal(mpf(tail), 0, 16),
-        terms_summed=len(vals),
+        terms_summed=len(a),
     )
 
 
@@ -449,20 +529,15 @@ def _weighted_sum(parts) -> GreensValue:
     )
 
 
-def green_k(k: int, z1: UHPoint, z2: UHPoint, policy: TruncationPolicy,
-            q_order: Optional[int] = None) -> GreensValue:
+def green_k(k: int, z1: UHPoint, z2: UHPoint, policy: TruncationPolicy) -> GreensValue:
     """Higher Green's function of weight k for the full modular group:
-    -2 * sum over PSL2(Z) representatives of Q_order(1 + |z1 - g z2|^2 /
-    (2 Im z1 Im g z2)), entries bounded by the policy.
-
-    q_order defaults to k-1 (the Laplace-integral normalization used by the
-    degree-m translates); pass q_order=k for the alternative convention.
-    z2 is fundamental-domain-reduced first; z1 is used as given."""
+    -2 * sum over PSL2(Z) representatives of Q_{k-1}(1 + |z1 - g z2|^2 /
+    (2 Im z1 Im g z2)), entries bounded by the policy (the Laplace-integral
+    normalization). z2 is fundamental-domain-reduced first; z1 is used as
+    given."""
     if int(k) != k or k < 2:
         raise ValueError("k must be an integer >= 2")
-    order = k - 1 if q_order is None else int(q_order)
-    if order < 1:
-        raise ValueError("Q order must be >= 1")
+    order = k - 1
     z2r, _ = reduce_fd(z2)
     z1c, z2c = z1.as_complex(), z2r.as_complex()
     bound = policy.matrix_bound
@@ -495,8 +570,8 @@ def hecke_coset_reps(m: int) -> list[tuple[int, int, int]]:
     return reps
 
 
-def hecke_green(s: int, m: int, z1: UHPoint, z2: UHPoint, policy: TruncationPolicy,
-                q_order: Optional[int] = None) -> GreensValue:
+def hecke_green(s: int, m: int, z1: UHPoint, z2: UHPoint,
+                policy: TruncationPolicy) -> GreensValue:
     """Translate of G_s under the degree-m Hecke correspondence: the sum of
     green_k over the upper-triangular coset representatives, equivalent to
     summing over all integer matrices of determinant m up to units."""
@@ -505,21 +580,19 @@ def hecke_green(s: int, m: int, z1: UHPoint, z2: UHPoint, policy: TruncationPoli
         with workdps(max(z2.re.dps, 30)):
             w = (a * z2.as_mpc() + b) / d
             z2p = UHPoint(BigReal(w.real, 0, z2.re.dps), BigReal(w.imag, 0, z2.re.dps))
-        parts.append((1.0, green_k(s, z1, z2p, policy, q_order=q_order)))
+        parts.append((1.0, green_k(s, z1, z2p, policy)))
     return _weighted_sum(parts)
 
 
 def green_det_m_direct(s: int, m: int, z1: UHPoint, z2: UHPoint, bound: int,
-                       q_order: Optional[int] = None,
                        singular_threshold: float = 1e-8) -> GreensValue:
     """Direct summation over all integer matrices of determinant m with
     entries bounded by `bound`, one representative per +-pair. Independent
     oracle for the coset decomposition (no fundamental-domain reduction)."""
     if int(s) != s or s < 2:
         raise ValueError("s must be an integer >= 2")
-    order = s - 1 if q_order is None else int(q_order)
     try:
-        return _green_single(order, m, z1.as_complex(), z2.as_complex(), bound,
+        return _green_single(s - 1, m, z1.as_complex(), z2.as_complex(), bound,
                              singular_threshold)
     except OnSingularLocus as exc:
         raise OnSingularLocus("z1 lies on (or too near) the divisor T_m", m=m) from exc

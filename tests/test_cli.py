@@ -48,13 +48,17 @@ def test_humbert_check5_and_8(capsys):
     assert doc["on_h8"] is False
 
 
-def test_greens_q_order_flag(capsys):
-    _, d1 = run_cli(capsys, "greens", "eval", "--k", "2", "--z1", "0,2",
-                    "--z2", "1/2,2", "--bound", "60")
-    _, d2 = run_cli(capsys, "greens", "eval", "--k", "2", "--z1", "0,2",
-                    "--z2", "1/2,2", "--bound", "60", "--q-order", "2")
-    assert d1["greens"]["value"] != d2["greens"]["value"]
-    assert d2["meta"]["settings"]["q_order"] == 2
+def test_greens_q_order_flag_exits_2(capsys):
+    # Q_{k-1} is the only convention: eval and hecke refuse --q-order like
+    # combo and cross-check do
+    for argv in (["greens", "eval", "--k", "2"], ["greens", "hecke", "--s", "2", "--m", "2"]):
+        argv = argv + ["--z1", "0,2", "--z2", "1/2,2", "--bound", "60"]
+        code, doc = run_cli(capsys, *argv)
+        assert code == 0
+        assert doc["meta"]["settings"]["q_order"] == "k-1"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--q-order", "2"])
+        assert exc.value.code == 2
 
 
 def test_missing_file_exits_1(capsys):

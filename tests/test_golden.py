@@ -34,6 +34,9 @@ CASES = [
                         "--z2", "1/2,2", "--bound", "60"], 0),
     ("greens_eval_k3", ["greens", "eval", "--k", "3", "--z1", "1/5,17/10",
                         "--z2=-3/10,13/10", "--bound", "60"], 0),
+    # order 4 over a box of several evaluation chunks
+    ("greens_eval_k5", ["greens", "eval", "--k", "5", "--z1", "0,2",
+                        "--z2", "1/3,8/5", "--bound", "150"], 0),
     ("greens_hecke_m2", ["greens", "hecke", "--s", "2", "--m", "2", "--z1", "0,2",
                          "--z2", "1/3,8/5", "--bound", "60"], 0),
     ("greens_combo", ["greens", "combo", "--pp", "{golden}/pp.json", "--j", "1",

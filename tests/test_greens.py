@@ -1,18 +1,26 @@
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workdps
 
+from mcycle.arith import BigReal
 from mcycle.errors import BudgetExceeded, OnSingularLocus, SingularArgument
 from mcycle.greens import (
+    _EVAL_CHUNK,
+    _PER_TERM_REL,
     GreensValue,
     PrincipalPart,
     TruncationPolicy,
     UHPoint,
     _det_m_arrays,
+    _ExactSum,
+    _green_single,
+    _q_tables,
     apply_matrix,
     cross_check,
     green_det_m_direct,
@@ -101,8 +109,6 @@ class TestReduceFd:
     def test_corner_fixed(self):
         with workdps(30):
             w = mp.mpc(mp.cos(mp.pi / 3), mp.sin(mp.pi / 3))
-        from mcycle.arith import BigReal
-
         z0 = UHPoint(BigReal(w.real, 0, 30), BigReal(w.imag, 0, 30))
         z, _ = reduce_fd(z0)
         with workdps(30):
@@ -150,8 +156,6 @@ class TestGreenK:
         assert abs(val(t_moved) - val(base)) <= err(t_moved) + err(base)
         with workdps(30):
             w = -1 / ZA.as_mpc()
-        from mcycle.arith import BigReal
-
         s_z1 = UHPoint(BigReal(w.real, 0, 30), BigReal(w.imag, 0, 30))
         s_moved = green_k(2, s_z1, ZB, POL)
         assert abs(val(s_moved) - val(base)) <= err(s_moved) + err(base)
@@ -193,11 +197,6 @@ class TestGreenK:
         with pytest.raises(ValueError):
             green_k(1, Z1, Z2, POL)
 
-    def test_q_order_flag_changes_value(self):
-        g_default = green_k(2, Z1, Z2, POL)
-        g_alt = green_k(2, Z1, Z2, POL, q_order=2)
-        assert val(g_default) != val(g_alt)
-
     def test_higher_weight_smaller_magnitude(self):
         g2 = green_k(2, Z1, Z2, POL)
         g3 = green_k(3, Z1, Z2, POL)
@@ -227,6 +226,22 @@ class TestGreenK:
             TruncationPolicy(matrix_bound=5)
         with pytest.raises(ValueError):
             TruncationPolicy(target_tol=0)
+
+    @pytest.mark.parametrize("moved", ["none", "T", "S"])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_mellit_cm_value(self, moved, swap):
+        # G_2((-1 + sqrt(-7))/2, i) = (8/sqrt 7) log(8 - 3 sqrt 7) (Mellit);
+        # T and S move z1 to 1/2 + i sqrt(7)/2 and 1/4 + i sqrt(7)/4
+        with workdps(30):
+            r7 = mp.sqrt(7)
+            exact = 8 / r7 * mp.log(8 - 3 * r7)
+            re, im = {"none": (F(-1, 2), r7 / 2), "T": (F(1, 2), r7 / 2),
+                      "S": (F(1, 4), r7 / 4)}[moved]
+            z1 = UHPoint(re, im)
+        zi = UHPoint(0, 1)
+        g = green_k(2, *((zi, z1) if swap else (z1, zi)),
+                    TruncationPolicy(matrix_bound=250))
+        assert abs(val(g) - float(exact)) <= err(g)
 
 
 class TestHecke:
@@ -452,3 +467,189 @@ def test_box_over_memory_budget_refused(monkeypatch):
     monkeypatch.setattr(greens, "_memory_budget_bytes",
                         lambda: terms * greens._BYTES_PER_TERM)
     assert green_k(2, Z1, Z2, TruncationPolicy(matrix_bound=50)).terms_summed == terms
+
+
+def _reference_horner(coeffs_low_to_high, x):
+    acc = np.zeros_like(x)
+    for c in coeffs_low_to_high[::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _reference_q_eval(order, t):
+    """greens._q_eval_array over the out-of-place Horner it replaced."""
+    pcoef, wcoef, series, pref = _q_tables(order)
+    out = np.empty_like(t)
+    lo = t < 2.0
+    if np.any(lo):
+        tl = t[lo]
+        artanh = 0.5 * np.log((tl + 1.0) / (tl - 1.0))
+        out[lo] = _reference_horner(pcoef, tl) * artanh - _reference_horner(wcoef, tl)
+    hi = ~lo
+    if np.any(hi):
+        th = t[hi]
+        u = 1.0 / (th * th)
+        out[hi] = pref / (2.0 * th) ** (order + 1) * _reference_horner(series, u)
+    return out
+
+
+def _reference_green_single(order, m, z1, z2, bound, singular_threshold,
+                            q_eval=_reference_q_eval):
+    """The whole-box evaluation the chunked _green_single replaced: every
+    term at once, then three math.fsum passes (full, half box, absolute)."""
+    a, b, c, d, maxe = _det_m_arrays(m, bound)
+    gz2 = (a * z2 + b) / (c * z2 + d)
+    diff2 = np.abs(z1 - gz2) ** 2
+    if np.min(diff2) < singular_threshold ** 2:
+        raise OnSingularLocus("z1 lies on (or too near) the orbit of z2")
+    vals = q_eval(order, 1.0 + diff2 / (2.0 * z1.imag * gz2.imag))
+    full = math.fsum(vals)
+    half = math.fsum(vals[maxe <= bound // 2])
+    value = -2.0 * full
+    shell = 2.0 * abs(full - half)
+    round_err = 2.0 * _PER_TERM_REL * math.fsum(np.abs(vals)) + 1e-15 * abs(value)
+    tail = shell + round_err
+    return GreensValue(
+        value=BigReal(mpf(value), mpf(tail), 16),
+        tail_estimate=BigReal(mpf(tail), 0, 16),
+        terms_summed=len(vals),
+    )
+
+
+def _bits(g: GreensValue) -> tuple:
+    return (float(g.value.val).hex(), float(g.value.err).hex(),
+            float(g.tail_estimate.val).hex(), g.terms_summed)
+
+
+def _t_values(m, z1, z2, bound):
+    a, b, c, d, _ = _det_m_arrays(m, bound)
+    gz2 = (a * z2 + b) / (c * z2 + d)
+    return 1.0 + np.abs(z1 - gz2) ** 2 / (2.0 * z1.imag * gz2.imag)
+
+
+# per m, a point pair with some t < 2 (the closed-form branch of Q_n)
+REF_POINTS = {1: (0.3 + 1.7j, -0.3 + 1.3j), 2: (0.1 + 2j, 1 / 3 + 1.6j),
+              3: (2j, 1 / 3 + 1.6j), 6: (0.25 + 2.5j, -0.2 + 1.1j)}
+
+
+@pytest.mark.parametrize("m", sorted(REF_POINTS))
+def test_green_single_matches_whole_box_reference(m):
+    # bound 300 spans many evaluation chunks
+    z1, z2 = REF_POINTS[m]
+    assert len(_det_m_arrays(m, 300)[0]) > 10 * _EVAL_CHUNK
+    assert _t_values(m, z1, z2, 10).min() < 2.0
+    for bound in (10, 50, 150, 300):
+        for order in range(1, 6):
+            want = _reference_green_single(order, m, z1, z2, bound, 1e-8)
+            assert _bits(_green_single(order, m, z1, z2, bound, 1e-8)) == _bits(want)
+
+
+def test_green_single_negative_term_in_later_chunk(monkeypatch):
+    # the absolute-value sum differs from the signed one only if some term
+    # is negative; negate the terms at one t that first occurs past chunk 0
+    import mcycle.greens as greens
+
+    z1, z2 = REF_POINTS[1]
+    t = _t_values(1, z1, z2, 300)
+    target = t[3 * _EVAL_CHUNK + 17]
+    assert np.flatnonzero(t == target).min() >= _EVAL_CHUNK
+
+    def negated(q_eval):
+        def q(order, tt):
+            out = q_eval(order, tt)
+            out[tt == target] *= -1.0
+            return out
+        return q
+
+    want = _reference_green_single(2, 1, z1, z2, 300, 1e-8, negated(_reference_q_eval))
+    monkeypatch.setattr(greens, "_q_eval_array", negated(greens._q_eval_array))
+    got = _green_single(2, 1, z1, z2, 300, 1e-8)
+    assert _bits(got) == _bits(want)
+    monkeypatch.undo()
+    assert _bits(_green_single(2, 1, z1, z2, 300, 1e-8)) != _bits(got)
+
+
+def test_singular_term_in_later_chunk_refused_before_q():
+    # z1 is exactly gamma z2 for gamma = ((1, 0), (200, 1)), far past chunk
+    # 0; the chunk that holds it is refused before Q_n (infinite at t = 1)
+    z2 = 1 / 3 + 1.6j
+    one, c200 = np.array([1]), np.array([200])
+    z1 = complex(((one * z2 + 0 * one) / (c200 * z2 + one))[0])
+    _, _, c, d, _ = _det_m_arrays(1, 300)
+    assert np.flatnonzero((c == 200) & (d == 1))[0] >= _EVAL_CHUNK
+    with pytest.raises(OnSingularLocus):
+        _reference_green_single(1, 1, z1, z2, 300, 1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OnSingularLocus, match="orbit of z2"):
+            _green_single(1, 1, z1, z2, 300, 1e-8)
+
+
+def test_green_single_infinite_term_like_reference():
+    # 1.2e-8 from z2 passes the singular threshold, but t rounds to 1, so
+    # Q_1 is infinite; the exact sum keeps math.fsum's inf and nan
+    z1, z2 = 1.2e-8 + 2j, 2j
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = _reference_green_single(1, 1, z1, z2, 50, 1e-8)
+        got = _green_single(1, 1, z1, z2, 50, 1e-8)
+    assert math.isinf(float(want.value.val))
+    assert _bits(got) == _bits(want)
+
+
+def _assert_exact_sum_is_fsum(vals, groups):
+    acc = _ExactSum(2)
+    for i in range(0, len(vals), _EVAL_CHUNK):
+        acc.add(vals[i:i + _EVAL_CHUNK], groups[i:i + _EVAL_CHUNK])
+    for sel in ((0, 1), (0,), (1,)):
+        part = vals[np.isin(groups, sel)]
+        assert acc.total(sel).hex() == math.fsum(part.tolist()).hex()
+        assert acc.total(sel, absolute=True).hex() == math.fsum(np.abs(part).tolist()).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=40),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example([], False, 0)
+@example([5e-324], False, 0)
+@example([-2.5e-310, 1e300, 3.0], True, 1)
+def test_exact_sum_matches_fsum(xs, cancel, seed):
+    # mixed signs, subnormals and exponents up to 1e300; cancel appends the
+    # negations, so the exact sum is zero
+    if cancel:
+        xs = xs + [-x for x in reversed(xs)]
+    vals = np.array(xs, dtype=np.float64)
+    _assert_exact_sum_is_fsum(vals, np.random.default_rng(seed).integers(0, 2, len(vals)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([_EVAL_CHUNK - 1, _EVAL_CHUNK, _EVAL_CHUNK + 1, 2 * _EVAL_CHUNK + 7]),
+       st.sampled_from(["wide", "subnormal", "cancel", "positive"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_exact_sum_matches_fsum_across_chunks(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "wide":  # |x| from 1e-300 to 1e300, mixed signs
+        vals = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    elif kind == "subnormal":
+        vals = np.ldexp(rng.integers(-2 ** 52, 2 ** 52, n).astype(np.float64), -1074)
+    elif kind == "cancel":
+        half = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(-20, 20, n // 2)
+        vals = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
+    else:  # the shape of Q_n values
+        vals = rng.uniform(0.0, 40.0, n) * 10.0 ** rng.integers(-30, 2, n)
+    _assert_exact_sum_is_fsum(vals, rng.integers(0, 2, n))
+
+
+@pytest.mark.parametrize("vals", [[math.inf, 1.0], [1.0, -math.inf], [math.nan, 2.0],
+                                  [math.inf, -math.inf], [math.inf, math.inf, -3.0]])
+def test_exact_sum_non_finite_like_fsum(vals):
+    def outcome(f):
+        try:
+            return repr(f())
+        except ValueError as exc:
+            return str(exc)
+
+    acc = _ExactSum(1)
+    acc.add(np.array(vals), 0)
+    assert outcome(lambda: acc.total((0,))) == outcome(lambda: math.fsum(vals))
+    assert outcome(lambda: acc.total((0,), absolute=True)) == repr(math.fsum(np.abs(vals)))

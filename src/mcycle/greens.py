@@ -5,22 +5,21 @@ The high-precision entry point is legendre_q (tanh-sinh quadrature on the
 Laplace integral with an explicit truncation point). The lattice sums use a
 float64 fast path: exact-coefficient closed forms of Q_n below t = 2 and the
 all-positive hypergeometric series above (validated against the quadrature to
-better than 1e-11 relative). The box is evaluated in fixed chunks of terms in
-canonical enumeration order, and the terms are summed exactly: integer
-mantissa parts bucketed by exponent, then rounded once, which is the value
-math.fsum returns. So identical inputs give bit-identical output. green_k
-(PSL2(Z), determinant 1) and green_det_m_direct share one enumerator of
-integer matrices of determinant m and one evaluate-and-budget path. The
-enumerator is vectorised: it takes the rows of c in fixed-size chunks, finds
-each (c, d) block's first matrix by gcd and extended Euclid over numpy
-arrays, and expands the blocks into preallocated int64 arrays, after
-refusing a box whose term count would not fit in memory. One box is cached;
-a smaller bound for the same m is a mask over it. Hecke translates,
-principal-part combinations and the regulator cross-check combine
-GreensValues through one weighted sum. Truncation
-dominates the error budget; the tail estimate is the outer-shell mass
-|sum(N) - sum(N/2)|, which over-covers the true remainder under the observed
-geometric shell decay.
+better than 1e-11 relative). green_k (PSL2(Z), determinant 1) and
+green_det_m_direct share one enumerator of integer matrices of determinant m
+and one evaluator. The enumerator is vectorised (gcd and extended Euclid per
+(c, d) block over numpy arrays), refuses a box whose term count would not fit
+in memory, and caches one box as int32 arrays in shell order (max |entry|
+ascending, canonical order within a shell), so the box of any smaller bound
+is a prefix view of it. The evaluator runs the levels N, 2N, 4N, ... of the
+adaptive ladder through one exact sum (integer mantissa parts bucketed by
+exponent, rounded once when read, which is math.fsum's value), adding only
+each new shell, in fixed chunks of terms; so identical inputs give
+bit-identical output. Hecke translates, principal-part combinations and the
+regulator cross-check combine GreensValues through one weighted sum.
+Truncation dominates the error budget; the tail estimate is the outer-shell
+mass |sum(N) - sum(N/2)|, which over-covers the true remainder under the
+observed geometric shell decay.
 """
 from __future__ import annotations
 
@@ -113,7 +112,6 @@ class TruncationPolicy:
     target_tol: float = 1e-8
     adaptive: bool = False
     max_bound: int = 4000
-    singular_threshold: float = 1e-8
 
     def __post_init__(self):
         if self.matrix_bound < 10:
@@ -289,12 +287,12 @@ def apply_matrix(m: tuple, z: UHPoint) -> UHPoint:
 _CHUNK_CELLS = 1 << 16  # (c, d) cells per chunk of rows of c
 # bytes per term of a box: the builder refuses a box whose terms would need
 # more than _memory_budget_bytes() at this rate. Building and evaluating the
-# N = 1000 box (4.87M terms) peaks at 267 MB, about 58 bytes per term, since
-# evaluation runs in chunks; 128 is the figure of whole-box evaluation
-# (592 MB), kept so that every refusal stays where it was
+# N = 1000 box (4.87M terms) peaks at 220 MB, about 45 bytes per term; 128 is
+# the figure of whole-box evaluation of int64 arrays (592 MB), kept so that
+# every refusal stays where it was
 _BYTES_PER_TERM = 128
 
-# the one cached box: (m, bound, (a, b, c, d, maxe)) or None
+# the one cached box: (m, bound, (a, b, c, d), ends) or None
 _box = None
 
 
@@ -355,8 +353,10 @@ def _det_m_blocks(m: int, c: int, c_end: int, bound: int) -> np.ndarray:
 
 
 def _build_box(m: int, bound: int) -> tuple:
-    """The arrays (a, b, c, d, maxe) of _det_m_arrays, built from row chunks
-    of c; raises BudgetExceeded before allocating a box that would not fit."""
+    """The arrays (a, b, c, d) of the box at bound, in shell order, and the
+    table ends: ends[n] is the number of terms with max |entry| <= n. Built
+    from row chunks of c; raises BudgetExceeded before allocating a box that
+    would not fit."""
     budget_terms = _memory_budget_bytes() // _BYTES_PER_TERM
     d = np.arange(1, bound + 1, dtype=np.int64)
     d = d[(m % d == 0) & (m // d <= bound)]
@@ -374,49 +374,50 @@ def _build_box(m: int, bound: int) -> tuple:
                 f"bound {bound} needs over {budget_terms} terms "
                 f"({_BYTES_PER_TERM} bytes each), more than half of physical memory"
             )
-    out = tuple(np.empty(total, dtype=np.int64) for _ in range(5))
+    out = tuple(np.empty(total, dtype=np.int32) for _ in range(4))
+    # max |entry| per term, as the narrowest unsigned type that holds bound
+    maxe = np.empty(total, dtype=np.min_scalar_type(bound))
     at = 0
     for blk in chunks:
         a0, b0, sa, sb, n, c, d = blk.astype(np.int64)
         end = at + int(n.sum())
         # k: position of each matrix inside its (c, d) block
         k = np.arange(end - at, dtype=np.int64) - np.repeat(np.cumsum(n) - n, n)
-        a, b, cc, dd, maxe = (x[at:end] for x in out)
+        a, b, cc, dd = (x[at:end] for x in out)
         a[:] = np.repeat(a0, n) + k * np.repeat(sa, n)
         b[:] = np.repeat(b0, n) + k * np.repeat(sb, n)
         cc[:] = np.repeat(c, n)
         dd[:] = np.repeat(d, n)
-        np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(cc), np.abs(dd)),
-                   out=maxe)
+        maxe[at:end] = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(cc, np.abs(dd)))
         at = end
-    return out
+    del chunks
+    ends = np.cumsum(np.bincount(maxe, minlength=bound + 1))
+    # stable, so each shell keeps the canonical order; a radix sort on 8 or 16 bits
+    order = np.argsort(maxe, kind="stable")
+    del maxe
+    for x in out:
+        x[:] = x[order]
+    return out, ends
 
 
 def _det_m_arrays(m: int, bound: int) -> tuple:
     """The integer matrices of determinant m with max |entry| <= bound, one
-    per +-pair (c > 0, or c = 0 and d > 0), in canonical order (c, then d,
-    then a ascending), as int64 arrays (a, b, c, d, maxe); m = 1 gives the
-    PSL2(Z) representatives.
+    per +-pair (c > 0, or c = 0 and d > 0), as int32 arrays (a, b, c, d) in
+    shell order: max |entry| ascending, then canonical order (c, then d, then
+    a ascending); m = 1 gives the PSL2(Z) representatives.
 
-    One box is cached: a request for the same m and a bound no larger is the
-    mask maxe <= bound over its rows with c <= bound (a prefix, as c
-    ascends), which keeps the order; another m or a larger bound builds a
-    new box in its place."""
+    One box is cached. A request for the same m and a bound no larger gets
+    views of its first ends[bound] terms, with no copy; another m or a larger
+    bound builds a new box in its place."""
     global _box
-    box = _box
-    if box is not None and box[0] == m and bound <= box[1]:
-        arrays = box[2]
-        if bound == box[1]:
-            return arrays
-        n = np.searchsorted(arrays[2], bound, side="right")
-        keep = arrays[4][:n] <= bound
-        return tuple(x[:n][keep] for x in arrays)
-    _box = None  # release the old box before building the new one
-    arrays = _build_box(m, bound)
-    for x in arrays:
-        x.flags.writeable = False
-    _box = (m, bound, arrays)
-    return arrays
+    if _box is None or _box[0] != m or bound > _box[1]:
+        _box = None  # release the old box before building the new one
+        arrays, ends = _build_box(m, bound)
+        for x in arrays:
+            x.flags.writeable = False
+        _box = (m, bound, arrays, ends)
+    n = int(_box[3][bound])
+    return tuple(x[:n] for x in _box[2])
 
 
 # frexp exponents of finite doubles run from -1073 to 1024; bucket index
@@ -426,95 +427,100 @@ _EXP_BINS = 2099
 
 
 class _ExactSum:
-    """Exact running sums of float64 values in a few groups, rounded once when
-    read, which gives math.fsum's value for any union of the groups, signed or
-    absolute.
+    """An exact running sum of float64 values, rounded once when read, which
+    gives math.fsum's value for all values added so far, signed or absolute.
 
     A value m * 2**e (np.frexp) has the 53-bit integer mantissa
-    M = |m| * 2**53. Its high 26 and low 27 bits go to the bucket (group,
-    sign, e). An add of at most 2**26 values makes every bucket sum of
-    np.bincount an integer below 2**53, so exact in float64; the running
-    totals are int64. Non-finite values are kept as flags and give fsum's
-    nan, inf or ValueError. Unlike fsum, no intermediate overflow is raised:
-    only a total beyond the float range is (OverflowError)."""
+    M = |m| * 2**53. Its high 26 and low 27 bits go to the bucket (sign, e).
+    An add of at most 2**26 values makes every bucket sum of np.bincount an
+    integer below 2**53, so exact in float64; the running totals are int64.
+    Non-finite values are kept as flags and give fsum's nan, inf or
+    ValueError. Unlike fsum, no intermediate overflow is raised: only a total
+    beyond the float range is (OverflowError)."""
 
-    def __init__(self, groups: int):
-        # (high or low bits, group, sign, exponent), and a flat view per row
-        self._tot = np.zeros((2, groups, 2, _EXP_BINS), dtype=np.int64)
-        self._flat = self._tot.reshape(2, -1)
-        self._special = np.zeros((groups, 3), dtype=bool)  # nan, +inf, -inf
+    def __init__(self):
+        self._tot = np.zeros((2, 2, _EXP_BINS), dtype=np.int64)  # (sign, high or low bits, e)
+        self._special = np.zeros(3, dtype=bool)  # nan, +inf, -inf
 
-    def add(self, vals: np.ndarray, group) -> None:
-        """Add vals to group, an int or an int (or bool) array like vals."""
+    def add(self, vals: np.ndarray) -> None:
         m, e = np.frexp(vals)
-        key = e + (_EXP_SHIFT + _EXP_BINS * (2 * group + (m < 0)))
+        key = e + (_EXP_SHIFT + _EXP_BINS * (m < 0))
         mhi = np.abs(m) * 2.0 ** 26
         hi = np.floor(mhi)
-        nbins = self._flat.shape[1]
-        hib = np.bincount(key, hi, minlength=nbins)
+        hib = np.bincount(key, hi, minlength=2 * _EXP_BINS)
         if not math.isfinite(hib.sum()):
             fin = np.isfinite(vals)
-            bad = ~fin
-            for g, x in zip(np.broadcast_to(group, vals.shape)[bad].tolist(),
-                            vals[bad].tolist()):
-                self._special[int(g), 0 if x != x else 1 if x > 0 else 2] = True
-            self.add(np.where(fin, vals, 0.0), group)
+            for x in vals[~fin].tolist():
+                self._special[0 if x != x else 1 if x > 0 else 2] = True
+            self.add(vals[fin])
             return
-        self._flat[0] += hib.astype(np.int64)
-        lo = (mhi - hi) * 2.0 ** 27
-        self._flat[1] += np.bincount(key, lo, minlength=nbins).astype(np.int64)
+        self._tot[:, 0] += hib.astype(np.int64).reshape(2, -1)
+        lob = np.bincount(key, (mhi - hi) * 2.0 ** 27, minlength=2 * _EXP_BINS)
+        self._tot[:, 1] += lob.astype(np.int64).reshape(2, -1)
 
-    def total(self, groups, absolute: bool = False) -> float:
-        """The correctly rounded sum of the values in groups (of their
+    def total(self, absolute: bool = False) -> float:
+        """The correctly rounded sum of the values added so far (of their
         absolute values if absolute)."""
-        nan, pinf, ninf = self._special[list(groups)].any(axis=0)
+        nan, pinf, ninf = self._special
         if nan or pinf or ninf:
             if pinf and ninf and not absolute:
                 raise ValueError("-inf + inf in fsum")
             return math.nan if nan else math.inf if pinf or absolute else -math.inf
         exact = 0
-        for g in groups:
-            for neg in (0, 1):
-                hi, lo = self._tot[:, g, neg]
-                part = 0
-                for i in np.flatnonzero(hi | lo).tolist():
-                    part += ((int(hi[i]) << 27) + int(lo[i])) << i
-                exact += -part if neg and not absolute else part
+        for neg, (hi, lo) in enumerate(self._tot):
+            part = 0
+            for i in np.flatnonzero(hi | lo).tolist():
+                part += ((int(hi[i]) << 27) + int(lo[i])) << i
+            exact += -part if neg and not absolute else part
         return exact / (1 << (_EXP_SHIFT + 53))
 
 
-_EVAL_CHUNK = 1 << 15  # terms per evaluation chunk of _green_single
+_EVAL_CHUNK = 1 << 15  # terms per evaluation chunk
+_SINGULAR_DIST = 1e-8  # a gamma z2 this near z1 is refused as on the divisor
 
 
-def _green_single(order: int, m: int, z1: complex, z2: complex, bound: int,
-                  singular_threshold: float) -> GreensValue:
-    """-2 * the sum of Q_order over the determinant-m box, evaluated in chunks
-    of _EVAL_CHUNK terms in canonical order and summed exactly; the tail is
-    the outer-shell mass plus the float rounding budget. Raises
-    OnSingularLocus, before evaluating Q in that chunk, if some enumerated
-    gamma z2 comes within singular_threshold of z1."""
-    a, b, c, d, maxe = _det_m_arrays(m, bound)
-    sums = _ExactSum(2)  # group 1: the inner box, maxe <= bound // 2
-    # an empty box still runs one (empty) chunk, where np.min refuses it
-    for i in range(0, max(len(a), 1), _EVAL_CHUNK):
+def _add_box(acc: _ExactSum, order: int, m: int, z1: complex, z2: complex,
+             bound: int, start: int) -> int:
+    """Add Q_order of the determinant-m box at bound, from term start on, to
+    acc in chunks; returns the box's term count. Raises OnSingularLocus,
+    before Q is evaluated in the chunk, where gamma z2 is within
+    _SINGULAR_DIST of z1 or t rounds to 1."""
+    a, b, c, d = _det_m_arrays(m, bound)
+    for i in range(start, len(a), _EVAL_CHUNK):
         s = slice(i, i + _EVAL_CHUNK)
         gz2 = (a[s] * z2 + b[s]) / (c[s] * z2 + d[s])
         diff2 = np.abs(z1 - gz2) ** 2
-        if np.min(diff2) < singular_threshold ** 2:
+        t = 1.0 + diff2 / (2.0 * z1.imag * gz2.imag)
+        if np.min(diff2) < _SINGULAR_DIST ** 2 or not t.min() > 1.0:
             raise OnSingularLocus("z1 lies on (or too near) the orbit of z2")
-        vals = _q_eval_array(order, 1.0 + diff2 / (2.0 * z1.imag * gz2.imag))
-        sums.add(vals, maxe[s] <= bound // 2)
-    full = sums.total((0, 1))
-    half = sums.total((1,))
-    value = -2.0 * full
-    shell = 2.0 * abs(full - half)
-    round_err = 2.0 * _PER_TERM_REL * sums.total((0, 1), absolute=True) + 1e-15 * abs(value)
-    tail = shell + round_err
-    return GreensValue(
-        value=BigReal(mpf(value), mpf(tail), 16),
-        tail_estimate=BigReal(mpf(tail), 0, 16),
-        terms_summed=len(a),
-    )
+        acc.add(_q_eval_array(order, t))
+    return len(a)
+
+
+def _green_levels(order: int, m: int, z1: complex, z2: complex, bound: int):
+    """The GreensValues -2 * sum of Q_order over the determinant-m boxes at
+    bound, 2 bound, 4 bound, ...: each level adds only its new shell to one
+    exact sum, so its inner half box is the previous level. The tail is the
+    outer-shell mass plus the float rounding budget."""
+    acc = _ExactSum()
+    _det_m_arrays(m, bound)  # so that the inner half box is a prefix of it
+    done = _add_box(acc, order, m, z1, z2, bound // 2, 0)
+    full = acc.total()
+    while True:
+        half = full
+        done = _add_box(acc, order, m, z1, z2, bound, done)
+        if not done:
+            raise ValueError(f"no matrix of determinant {m} has entries bounded by {bound}")
+        full = acc.total()
+        value = -2.0 * full
+        shell = 2.0 * abs(full - half)
+        tail = shell + (2.0 * _PER_TERM_REL * acc.total(absolute=True) + 1e-15 * abs(value))
+        yield GreensValue(
+            value=BigReal(mpf(value), mpf(tail), 16),
+            tail_estimate=BigReal(mpf(tail), 0, 16),
+            terms_summed=done,
+        )
+        bound *= 2
 
 
 def _weighted_sum(parts) -> GreensValue:
@@ -537,23 +543,18 @@ def green_k(k: int, z1: UHPoint, z2: UHPoint, policy: TruncationPolicy) -> Green
     given."""
     if int(k) != k or k < 2:
         raise ValueError("k must be an integer >= 2")
-    order = k - 1
     z2r, _ = reduce_fd(z2)
-    z1c, z2c = z1.as_complex(), z2r.as_complex()
-    bound = policy.matrix_bound
-    out = _green_single(order, 1, z1c, z2c, bound, policy.singular_threshold)
+    levels = _green_levels(k - 1, 1, z1.as_complex(), z2r.as_complex(), policy.matrix_bound)
+    out = next(levels)
     if not policy.adaptive:
         return out
-    while True:
-        new_bound = bound * 2
-        if new_bound > policy.max_bound:
-            raise BudgetExceeded(
-                f"adaptive refinement needs bound > {policy.max_bound}"
-            )
-        nxt = _green_single(order, 1, z1c, z2c, new_bound, policy.singular_threshold)
+    bound = policy.matrix_bound * 2
+    while bound <= policy.max_bound:
+        nxt = next(levels)
         if abs(float(nxt.value.val) - float(out.value.val)) < policy.target_tol:
             return nxt
-        bound, out = new_bound, nxt
+        out, bound = nxt, bound * 2
+    raise BudgetExceeded(f"adaptive refinement needs bound > {policy.max_bound}")
 
 
 def hecke_coset_reps(m: int) -> list[tuple[int, int, int]]:
@@ -584,16 +585,14 @@ def hecke_green(s: int, m: int, z1: UHPoint, z2: UHPoint,
     return _weighted_sum(parts)
 
 
-def green_det_m_direct(s: int, m: int, z1: UHPoint, z2: UHPoint, bound: int,
-                       singular_threshold: float = 1e-8) -> GreensValue:
+def green_det_m_direct(s: int, m: int, z1: UHPoint, z2: UHPoint, bound: int) -> GreensValue:
     """Direct summation over all integer matrices of determinant m with
     entries bounded by `bound`, one representative per +-pair. Independent
     oracle for the coset decomposition (no fundamental-domain reduction)."""
     if int(s) != s or s < 2:
         raise ValueError("s must be an integer >= 2")
     try:
-        return _green_single(s - 1, m, z1.as_complex(), z2.as_complex(), bound,
-                             singular_threshold)
+        return next(_green_levels(s - 1, m, z1.as_complex(), z2.as_complex(), bound))
     except OnSingularLocus as exc:
         raise OnSingularLocus("z1 lies on (or too near) the divisor T_m", m=m) from exc
 

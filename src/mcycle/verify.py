@@ -121,6 +121,19 @@ def check_gamma_invariance(bound: int = 120) -> tuple[str, bool, str]:
             f"invariance within tails at bound {bound}")
 
 
+def check_mellit_cm_value(bound: int = 250) -> tuple[str, bool, str]:
+    """Mellit's CM value G_2((-1 + sqrt(-7))/2, i) = (8/sqrt 7) log(8 - 3 sqrt 7),
+    an oracle independent of the lattice sum."""
+    with workdps(30):
+        r7 = mp.sqrt(7)
+        exact = float(8 / r7 * mp.log(8 - 3 * r7))
+        z1 = UHPoint(Fraction(-1, 2), r7 / 2)
+    g = green_k(2, z1, UHPoint(0, 1), TruncationPolicy(matrix_bound=bound))
+    diff, budget = abs(float(g.value.val) - exact), float(g.value.err)
+    return ("greens-mellit-cm-value", diff <= budget,
+            f"|G - exact| = {diff:.2e}, printed err {budget:.2e} at bound {bound}")
+
+
 def check_bw_table() -> tuple[str, bool, str]:
     rows5 = {(c.case_label, c.m, c.k, c.degree, c.num_torsion_points) for c in bw_cases(5)}
     rows4 = {(c.case_label, c.m, c.k, c.degree, c.num_torsion_points) for c in bw_cases(4)}
@@ -134,6 +147,7 @@ ALL_CHECKS = (
     check_pairing_identities,
     check_legendre_recurrence,
     check_gamma_invariance,
+    check_mellit_cm_value,
     check_bw_table,
 )
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -179,6 +180,16 @@ def test_greens_box_over_memory_budget_is_a_json_error(capsys, monkeypatch):
     assert doc["error"]["type"] == "BudgetExceeded"
 
 
+def test_greens_point_with_t_rounded_to_one_is_singular(capsys):
+    # 1.2e-8 from z2 passes the distance test, but t rounds to 1 in float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run_cli(capsys, "greens", "eval", "--z1", "3/250000000,2",
+                            "--z2", "0,2", "--bound", "20")
+    assert code == 1
+    assert doc["error"]["type"] == "OnSingularLocus"
+
+
 def test_greens_cross_check(tmp_path, capsys):
     bfile = tmp_path / "boundary.json"
     bfile.write_text(json.dumps({"points": [{"tau": "1/3,8/5", "a": "1"}]}))
@@ -231,6 +242,7 @@ def test_verify_fast(capsys):
     names = {c["name"] for c in doc["checks"]}
     assert "conic-closed-form-vs-determinant" in names
     assert "legendre-recurrence-and-closed-form" in names
+    assert "greens-mellit-cm-value" in names
 
 
 def test_entry_point_subprocess():

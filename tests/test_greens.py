@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import warnings
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,7 +21,7 @@ from mcycle.greens import (
     UHPoint,
     _det_m_arrays,
     _ExactSum,
-    _green_single,
+    _green_levels,
     _q_tables,
     apply_matrix,
     cross_check,
@@ -363,32 +365,32 @@ class TestCrossCheck:
 def test_enumeration_counts_small_bound():
     # PSL2(Z) reps with entries <= 1: identity, T, T^-1, S, and the six
     # products with |entries| <= 1 (classic count: 10)
-    a, b, c, d, _ = _det_m_arrays(1, 10)
+    a, b, c, d = _det_m_arrays(1, 10)
     mask = (abs(a) <= 1) & (abs(b) <= 1) & (abs(c) <= 1) & (abs(d) <= 1)
     assert int(mask.sum()) == 10
     det = a * d - b * c
     assert (det == 1).all()
     # against brute force: every determinant-m matrix with |entries| <= B,
-    # one per +-pair (c > 0, or c = 0 and d > 0), in canonical order
-    # (c, then d, then a ascending)
+    # one per +-pair (c > 0, or c = 0 and d > 0), in shell order (max
+    # |entry| ascending, by a stable sort of the canonical order: c, then d,
+    # then a ascending)
     for m in (1, 2, 3, 4, 6):
         for bound in (1, 2, 3, 5, 7, 10):
             rng = range(-bound, bound + 1)
-            brute = sorted(
+            brute = sorted(sorted(
                 (c, d, a, b)
                 for a in rng for b in rng for c in rng for d in rng
                 if a * d - b * c == m and (c > 0 or (c == 0 and d > 0))
-            )
-            a, b, c, d, maxe = _det_m_arrays(m, bound)
+            ), key=lambda row: max(map(abs, row)))
+            a, b, c, d = _det_m_arrays(m, bound)
             got = list(zip(c.tolist(), d.tolist(), a.tolist(), b.tolist()))
             assert got == brute, (m, bound)
-            assert (maxe == np.maximum(np.maximum(abs(a), abs(b)),
-                                       np.maximum(abs(c), abs(d)))).all()
 
 
 def _reference_det_m_arrays(m, bound):
     """The scalar enumerator the vectorised builder replaced: one
-    pow(ds, -1, cs) per (c, d), blocks expanded by numpy."""
+    pow(ds, -1, cs) per (c, d), blocks expanded by numpy; int64 arrays
+    (a, b, c, d) in shell order, by a stable sort of the canonical order."""
     def t_range(x0, step):
         if step < 0:
             x0, step = -x0, -step
@@ -420,13 +422,14 @@ def _reference_det_m_arrays(m, bound):
     b = np.repeat(b0, n) + k * np.repeat(sb, n)
     c, d = np.repeat(c, n), np.repeat(d, n)
     maxe = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
-    return a, b, c, d, maxe
+    order = np.argsort(maxe, kind="stable")
+    return a[order], b[order], c[order], d[order]
 
 
 def _assert_same_arrays(got, want):
-    assert len(got) == len(want) == 5
+    assert len(got) == len(want) == 4
     for g, w in zip(got, want):
-        assert g.dtype == np.int64
+        assert g.dtype == np.int32
         assert np.array_equal(g, w)
 
 
@@ -440,8 +443,9 @@ def test_enumerator_matches_scalar_reference(m, monkeypatch):
 
 
 def test_enumerator_cache_order(monkeypatch):
-    # each request equals a fresh build: a bound after a larger one is a mask
-    # over the cached box and keeps it; another m or a larger bound replaces it
+    # each request equals a fresh build: a bound after a larger one is a
+    # prefix view of the cached box and keeps it; another m or a larger bound
+    # replaces it
     import mcycle.greens as greens
 
     monkeypatch.setattr(greens, "_box", None)
@@ -449,8 +453,10 @@ def test_enumerator_cache_order(monkeypatch):
                           (2, 40, (2, 40)), (1, 33, (1, 33)), (1, 50, (1, 50)),
                           (1, 49, (1, 50)), (2, 25, (2, 25)), (3, 45, (3, 45)),
                           (3, 1, (3, 45)), (1, 1, (1, 1))):
-        _assert_same_arrays(_det_m_arrays(m, bound), _reference_det_m_arrays(m, bound))
+        got = _det_m_arrays(m, bound)
+        _assert_same_arrays(got, _reference_det_m_arrays(m, bound))
         assert greens._box[:2] == box
+        assert all(g.base is x for g, x in zip(got, greens._box[2]))  # no copy
 
 
 def test_box_over_memory_budget_refused(monkeypatch):
@@ -493,14 +499,15 @@ def _reference_q_eval(order, t):
     return out
 
 
-def _reference_green_single(order, m, z1, z2, bound, singular_threshold,
-                            q_eval=_reference_q_eval):
-    """The whole-box evaluation the chunked _green_single replaced: every
-    term at once, then three math.fsum passes (full, half box, absolute)."""
-    a, b, c, d, maxe = _det_m_arrays(m, bound)
+def _reference_green_single(order, m, z1, z2, bound, q_eval=_reference_q_eval):
+    """The whole-box evaluation the chunked ladder replaced: every term at
+    once, the singular test on |z1 - gamma z2| alone, then three math.fsum
+    passes (full, half box, absolute)."""
+    a, b, c, d = _det_m_arrays(m, bound)
+    maxe = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
     gz2 = (a * z2 + b) / (c * z2 + d)
     diff2 = np.abs(z1 - gz2) ** 2
-    if np.min(diff2) < singular_threshold ** 2:
+    if np.min(diff2) < 1e-8 ** 2:
         raise OnSingularLocus("z1 lies on (or too near) the orbit of z2")
     vals = q_eval(order, 1.0 + diff2 / (2.0 * z1.imag * gz2.imag))
     full = math.fsum(vals)
@@ -516,13 +523,18 @@ def _reference_green_single(order, m, z1, z2, bound, singular_threshold,
     )
 
 
+def _green_single(order, m, z1, z2, bound):
+    """The first level of _green_levels: the box at bound on its own."""
+    return next(_green_levels(order, m, z1, z2, bound))
+
+
 def _bits(g: GreensValue) -> tuple:
     return (float(g.value.val).hex(), float(g.value.err).hex(),
             float(g.tail_estimate.val).hex(), g.terms_summed)
 
 
 def _t_values(m, z1, z2, bound):
-    a, b, c, d, _ = _det_m_arrays(m, bound)
+    a, b, c, d = _det_m_arrays(m, bound)
     gz2 = (a * z2 + b) / (c * z2 + d)
     return 1.0 + np.abs(z1 - gz2) ** 2 / (2.0 * z1.imag * gz2.imag)
 
@@ -540,8 +552,40 @@ def test_green_single_matches_whole_box_reference(m):
     assert _t_values(m, z1, z2, 10).min() < 2.0
     for bound in (10, 50, 150, 300):
         for order in range(1, 6):
-            want = _reference_green_single(order, m, z1, z2, bound, 1e-8)
-            assert _bits(_green_single(order, m, z1, z2, bound, 1e-8)) == _bits(want)
+            want = _reference_green_single(order, m, z1, z2, bound)
+            assert _bits(_green_single(order, m, z1, z2, bound)) == _bits(want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_green_levels_equal_fresh_levels(m, monkeypatch):
+    # each level adds only its new shell to one running sum, and equals a
+    # fresh one-level evaluation of its box bit for bit, whether every level
+    # builds its box (the old one released first) or is a prefix of a
+    # cached larger box
+    import mcycle.greens as greens
+
+    z1, z2 = REF_POINTS[m]
+    bounds = (20, 40, 80, 160)
+    build, built, alive = greens._build_box, [], []
+
+    def checked_build(mm, bound):
+        assert all(ref() is None for ref in alive)  # no view keeps the old box
+        arrays, ends = build(mm, bound)
+        built.append(bound)
+        alive[:] = [weakref.ref(x) for x in arrays]
+        return arrays, ends
+
+    def ladder():
+        return [_bits(g) for g in itertools.islice(_green_levels(2, m, z1, z2, 20), 4)]
+
+    monkeypatch.setattr(greens, "_box", None)
+    monkeypatch.setattr(greens, "_build_box", checked_build)
+    cold = ladder()
+    assert built == list(bounds)
+    assert ladder() == cold and built == list(bounds)  # warm: prefixes of the 160 box
+    for bound, got in zip(bounds, cold):
+        greens._box = None
+        assert _bits(_green_single(2, m, z1, z2, bound)) == got
 
 
 def test_green_single_negative_term_in_later_chunk(monkeypatch):
@@ -561,12 +605,12 @@ def test_green_single_negative_term_in_later_chunk(monkeypatch):
             return out
         return q
 
-    want = _reference_green_single(2, 1, z1, z2, 300, 1e-8, negated(_reference_q_eval))
+    want = _reference_green_single(2, 1, z1, z2, 300, negated(_reference_q_eval))
     monkeypatch.setattr(greens, "_q_eval_array", negated(greens._q_eval_array))
-    got = _green_single(2, 1, z1, z2, 300, 1e-8)
+    got = _green_single(2, 1, z1, z2, 300)
     assert _bits(got) == _bits(want)
     monkeypatch.undo()
-    assert _bits(_green_single(2, 1, z1, z2, 300, 1e-8)) != _bits(got)
+    assert _bits(_green_single(2, 1, z1, z2, 300)) != _bits(got)
 
 
 def test_singular_term_in_later_chunk_refused_before_q():
@@ -575,36 +619,37 @@ def test_singular_term_in_later_chunk_refused_before_q():
     z2 = 1 / 3 + 1.6j
     one, c200 = np.array([1]), np.array([200])
     z1 = complex(((one * z2 + 0 * one) / (c200 * z2 + one))[0])
-    _, _, c, d, _ = _det_m_arrays(1, 300)
+    _, _, c, d = _det_m_arrays(1, 300)
     assert np.flatnonzero((c == 200) & (d == 1))[0] >= _EVAL_CHUNK
     with pytest.raises(OnSingularLocus):
-        _reference_green_single(1, 1, z1, z2, 300, 1e-8)
+        _reference_green_single(1, 1, z1, z2, 300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OnSingularLocus, match="orbit of z2"):
-            _green_single(1, 1, z1, z2, 300, 1e-8)
+            _green_single(1, 1, z1, z2, 300)
 
 
-def test_green_single_infinite_term_like_reference():
-    # 1.2e-8 from z2 passes the singular threshold, but t rounds to 1, so
-    # Q_1 is infinite; the exact sum keeps math.fsum's inf and nan
+def test_green_single_refuses_t_rounded_to_one():
+    # 1.2e-8 from z2 passes the distance test, but t rounds to 1, where Q_1
+    # is infinite: the whole-box reference sums inf, the ladder refuses the
+    # point before evaluating Q
     z1, z2 = 1.2e-8 + 2j, 2j
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        want = _reference_green_single(1, 1, z1, z2, 50, 1e-8)
-        got = _green_single(1, 1, z1, z2, 50, 1e-8)
-    assert math.isinf(float(want.value.val))
-    assert _bits(got) == _bits(want)
+        assert math.isinf(float(_reference_green_single(1, 1, z1, z2, 50).value.val))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OnSingularLocus, match="orbit of z2"):
+            _green_single(1, 1, z1, z2, 50)
 
 
-def _assert_exact_sum_is_fsum(vals, groups):
-    acc = _ExactSum(2)
-    for i in range(0, len(vals), _EVAL_CHUNK):
-        acc.add(vals[i:i + _EVAL_CHUNK], groups[i:i + _EVAL_CHUNK])
-    for sel in ((0, 1), (0,), (1,)):
-        part = vals[np.isin(groups, sel)]
-        assert acc.total(sel).hex() == math.fsum(part.tolist()).hex()
-        assert acc.total(sel, absolute=True).hex() == math.fsum(np.abs(part).tolist()).hex()
+def _assert_exact_sum_is_fsum(vals, cuts):
+    # the running totals, read after each add, are fsum of the prefix so far
+    acc = _ExactSum()
+    for lo, hi in zip([0, *cuts], [*cuts, len(vals)]):
+        acc.add(vals[lo:hi])
+        assert acc.total().hex() == math.fsum(vals[:hi].tolist()).hex()
+        assert acc.total(absolute=True).hex() == math.fsum(np.abs(vals[:hi]).tolist()).hex()
 
 
 @settings(max_examples=300, deadline=None)
@@ -619,7 +664,8 @@ def test_exact_sum_matches_fsum(xs, cancel, seed):
     if cancel:
         xs = xs + [-x for x in reversed(xs)]
     vals = np.array(xs, dtype=np.float64)
-    _assert_exact_sum_is_fsum(vals, np.random.default_rng(seed).integers(0, 2, len(vals)))
+    cuts = np.random.default_rng(seed).integers(0, len(vals) + 1, 3)
+    _assert_exact_sum_is_fsum(vals, sorted(cuts.tolist()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -637,7 +683,7 @@ def test_exact_sum_matches_fsum_across_chunks(n, kind, seed):
         vals = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
     else:  # the shape of Q_n values
         vals = rng.uniform(0.0, 40.0, n) * 10.0 ** rng.integers(-30, 2, n)
-    _assert_exact_sum_is_fsum(vals, rng.integers(0, 2, n))
+    _assert_exact_sum_is_fsum(vals, list(range(_EVAL_CHUNK, n, _EVAL_CHUNK)))
 
 
 @pytest.mark.parametrize("vals", [[math.inf, 1.0], [1.0, -math.inf], [math.nan, 2.0],
@@ -649,7 +695,7 @@ def test_exact_sum_non_finite_like_fsum(vals):
         except ValueError as exc:
             return str(exc)
 
-    acc = _ExactSum(1)
-    acc.add(np.array(vals), 0)
-    assert outcome(lambda: acc.total((0,))) == outcome(lambda: math.fsum(vals))
-    assert outcome(lambda: acc.total((0,), absolute=True)) == repr(math.fsum(np.abs(vals)))
+    acc = _ExactSum()
+    acc.add(np.array(vals))
+    assert outcome(acc.total) == outcome(lambda: math.fsum(vals))
+    assert outcome(lambda: acc.total(absolute=True)) == repr(math.fsum(np.abs(vals)))

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Optional
 
 from mpmath import mp, mpf, mpc, workdps
@@ -49,32 +50,71 @@ def rat_from_mpf(x) -> Rat:
     return -val if sign else val
 
 
+_BLOCK = 1 << 14  # width of one range of primes in _prime_block
+
+
+@lru_cache(maxsize=None)
+def _prime_block(j: int, limit: int) -> tuple[int, int]:
+    """(least prime, product of the primes) in [j*_BLOCK, (j+1)*_BLOCK) up
+    to limit, by a segmented sieve."""
+    lo, hi = j * _BLOCK, min((j + 1) * _BLOCK, limit + 1)
+    sieve = bytearray([1]) * (hi - lo)
+    if lo == 0:
+        sieve[:2] = b"\0\0"  # 0 and 1
+    for p in range(2, math.isqrt(hi - 1) + 1):
+        start = max(p * p, -(-lo // p) * p)
+        sieve[start - lo::p] = bytes(len(range(start - lo, hi - lo, p)))
+    primes = list(compress(range(lo, hi), sieve))
+    return primes[0], math.prod(primes)
+
+
 @lru_cache(maxsize=4096)
 def _square_free_split(n: int) -> tuple[int, int]:
     """|n| = s^2 * m with m square-free (best effort beyond the trial bound).
 
-    Full trial division up to cbrt of the shrinking remainder: afterwards the
-    remainder has at most two prime factors, so a perfect-square check
-    finishes the job. For huge radicands (hundreds of digits, as produced by
-    near-degenerate numeric parameters) the trial bound is cut down: square
-    factors of large primes may then survive in the radicand, which keeps
-    values exact but non-minimal (documented engineering bound).
+    The primes up to the trial bound (10^6, or 1000 for radicands over 192
+    bits: square factors of large primes may then survive in the radicand,
+    which keeps values exact but non-minimal, a documented engineering
+    bound) are removed block by block: g = gcd(r, product of the block's
+    primes) holds the block's primes dividing r, and repeating r //= g,
+    g' = gcd(r, g) leaves in g the primes of multiplicity at least 1, 2, 3,
+    ...; s takes g at even levels and m takes g // g' at odd ones. The
+    blocks stop early once the next block's least prime P has P^3 > r: every
+    prime factor of the remainder r is then at least P, so it has at most
+    two. A perfect-square test on the remainder finishes the job.
+
+    This is the result of plain trial division over 2, 3, 5, 7, 9, ... while
+    p^3 <= r and p <= bound, then the same square test (an odd composite
+    never divides r, its primes are gone by then). Both remove primes in
+    increasing order and end in one of two ways:
+    - with every prime up to the bound removed, so the remainder is the
+      bound-rough part of |n|, the same for both;
+    - early, with a remainder of at most two prime factors, so the square
+      test splits it exactly; an exact split is unique (m square-free fixes
+      s), so two exact results agree.
+    Trial division stops early at or before the P where the blocks stop
+    (its test at P sees the same r), and if only trial division stops early,
+    the blocks' remainder divides its remainder, so is exact too. Only when
+    both remove every prime up to the bound can the result be non-minimal,
+    and then both test the same remainder.
     """
     if n == 0:
         return 1, 0
     s, sf, r = 1, 1, abs(n)
     limit = _TRIAL_LIMIT if r.bit_length() <= 192 else 1000
-    p = 2
-    while p * p * p <= r and p <= limit:
-        if r % p == 0:
-            k = 0
-            while r % p == 0:
-                r //= p
-                k += 1
-            s *= p ** (k // 2)
-            if k % 2:
-                sf *= p
-        p += 1 if p == 2 else 2
+    for j in range(limit // _BLOCK + 1):
+        first, prod = _prime_block(j, limit)
+        if first ** 3 > r:
+            break
+        g, odd = math.gcd(r, prod), True
+        while g > 1:
+            r //= g
+            nxt = math.gcd(r, g)
+            if odd:
+                sf *= g // nxt
+            else:
+                s *= g
+            g, odd = nxt, not odd
     rt = math.isqrt(r)
     if rt * rt == r:
         s *= rt
@@ -349,7 +389,17 @@ class _Ball:
 
     @property
     def digits(self) -> int:
-        """Count of guaranteed significant decimal digits."""
+        """Count of guaranteed significant decimal digits: floor(log10 q)
+        for q = |val| / err, taken at `dps` digits.
+
+        The log is taken at 20 digits, and at `dps` digits only when the short
+        one lies within 1e-9 * max(1, log) of an integer. Both logs of the
+        same q are within 1e-15 * max(1, log) of the true one (mpmath's log is
+        accurate to a few units in the last place, and dps >= 16), so they
+        differ by far less than that margin: when the short log is farther
+        than the margin from every integer, no integer lies between the two
+        logs and their floors agree.
+        """
         if self.err == 0:
             return self.dps
         if self.val == 0:
@@ -358,6 +408,11 @@ class _Ball:
             q = abs(self.val) / self.err
             if q <= 1:
                 return 0
+            with workdps(20):
+                lg = mp.log10(q)
+                n = mp.floor(lg)
+                if min(lg - n, n + 1 - lg) > 1e-9 * max(1, lg):
+                    return int(n)
             return int(mp.floor(mp.log10(q)))
 
     def _binop_dps(self, other: "_Ball") -> int:

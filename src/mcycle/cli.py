@@ -1,8 +1,8 @@
 """Command-line front end. Every command prints a single JSON document to
 stdout; exit status 0 on success, 1 on domain errors (machine-readable error
-object), 2 on usage errors. Rationals on the command line are "p/q" or
-decimal strings, converted exactly. MCYCLE_PRECISION sets the default digit
-count (fallback 50)."""
+object), 2 on usage errors (an error object of type UsageError). Rationals
+on the command line are "p/q" or decimal strings, converted exactly.
+MCYCLE_PRECISION sets the default digit count (fallback 50)."""
 from __future__ import annotations
 
 import argparse
@@ -12,6 +12,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .arith import rat_from_str
@@ -60,6 +61,22 @@ def _parse_uh(s: str, dps: int = 30) -> UHPoint:
     if len(parts) != 2:
         raise McycleError("expected RE,IM")
     return UHPoint(rat_from_str(parts[0]), rat_from_str(parts[1]), dps)
+
+
+def _from_json(build, doc, message: str):
+    """build(doc); a JSON document of the wrong shape is a domain error."""
+    try:
+        return build(doc)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise McycleError(message) from exc
+
+
+_NS_SHAPE = ('NSClass JSON must hold {"a": "p/q", "b": "p/q", '
+             '"phi": {"u": "p/q", "v": "p/q", "disc": n}}')
+
+
+def _ns_class(text: str, rank: int) -> NSClass:
+    return _from_json(lambda d: NSClass.from_json(d, rank=rank), json.loads(text), _NS_SHAPE)
 
 
 def _meta(**settings) -> dict:
@@ -173,13 +190,10 @@ def _cmd_regulator_sweep(args) -> int:
 
 def _cmd_ns(args) -> int:
     if args.ns_cmd == "pair":
-        d1 = NSClass.from_json(json.loads(args.d1), rank=args.rank)
-        d2 = NSClass.from_json(json.loads(args.d2), rank=args.rank)
-        v = ns_pair(d1, d2)
+        v = ns_pair(_ns_class(args.d1, args.rank), _ns_class(args.d2, args.rank))
         return _emit({"meta": _meta(op="pair"), "pairing": f"{v.numerator}/{v.denominator}"})
     if args.ns_cmd == "humbert-norm":
-        d = NSClass.from_json(json.loads(args.d), rank=args.rank)
-        v = humbert_norm(d)
+        v = humbert_norm(_ns_class(args.d, args.rank))
         return _emit({"meta": _meta(op="humbert-norm"),
                       "humbert_norm": f"{v.numerator}/{v.denominator}"})
     if args.ns_cmd == "cm-cycle":
@@ -211,7 +225,8 @@ def _cmd_greens(args) -> int:
         return _emit({"meta": meta, "greens": g.to_json()})
     if args.greens_cmd == "combo":
         with open(args.pp) as fh:
-            f = PrincipalPart.from_json(json.load(fh))
+            f = _from_json(PrincipalPart.from_json, json.load(fh),
+                           'principal-part file must hold {"coeffs": {"m": "p/q", ...}}')
         g = greens_combo(f, args.j, _parse_uh(args.z1), _parse_uh(args.z2), pol)
         return _emit({"meta": meta, "greens": g.to_json()})
     if args.greens_cmd == "cross-check":
@@ -219,12 +234,10 @@ def _cmd_greens(args) -> int:
                            precision=args.precision)
         with open(args.boundary) as fh:
             data = json.load(fh)
-        try:
-            boundary = [(_parse_uh(item["tau"]), rat_from_str(str(item["a"])))
-                        for item in data["points"]]
-        except (KeyError, TypeError) as exc:
-            raise McycleError('boundary file must hold {"points": '
-                              '[{"tau": "RE,IM", "a": "p/q"}, ...]}') from exc
+        boundary = _from_json(
+            lambda d: [(_parse_uh(item["tau"]), rat_from_str(str(item["a"])))
+                       for item in d["points"]],
+            data, 'boundary file must hold {"points": [{"tau": "RE,IM", "a": "p/q"}, ...]}')
         rep = cross_check(res, boundary, _parse_uh(args.y), pol)
         return _emit({"meta": meta, "report": rep})
     raise McycleError("unknown greens subcommand")
@@ -254,17 +267,29 @@ def _cmd_verify(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reads a token with a leading minus and a digit, such as -9/4 or
     -1/2,2, as a value rather than an option, so negative rationals can be
-    passed as separate arguments."""
+    passed as separate arguments. A usage error prints a JSON error document
+    to stdout (the usage line still goes to stderr) and exits with 2."""
 
     def _parse_optional(self, arg_string):
         if re.match(r"-\.?\d", arg_string):
             return None
         return super()._parse_optional(arg_string)
 
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _emit({"error": {"type": "UsageError", "message": message}})
+        sys.exit(2)
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for the current MCYCLE_PRECISION. Parsing keeps no state
+    in a parser, so one is built per default precision and reused."""
+    return _parser(_default_precision())
+
+
+@lru_cache(maxsize=8)
+def _parser(default_prec: int) -> argparse.ArgumentParser:
     ap = _Parser(prog="mcycle", description=__doc__)
-    default_prec = _default_precision()
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("config", help="Kummer-plane configuration")
@@ -367,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (McycleError, ValueError, ZeroDivisionError, OSError) as exc:

@@ -30,8 +30,8 @@ from .errors import (
     RepeatedRoot,
     ZeroDenominator,
 )
-from .geometry import ProjLine, conic_line_meet
-from .kummer import ModuliParams, humbert5_coeffs, humbert5_conic, sextic_eval
+from .geometry import Conic, ProjLine, conic_line_meet
+from .kummer import ModuliParams, humbert5_conic, sextic_eval
 
 _L6 = ProjLine((0, 0, 1))
 
@@ -40,6 +40,7 @@ _L6 = ProjLine((0, 0, 1))
 class BlowupLocalData:
     """Exact local data at the node q45 = [-1/2, 0, 1].
 
+    conic is the closed-form H5 conic the data is taken on;
     slope = G(-1/2), the tangent slope of the conic branch at the node
     (computed by implicit differentiation: (p1-p5)/(p6-p4/2));
     h_value = H(-1/2, 0) = prod_{i=1..3} (a_i^2 - a_i);
@@ -50,6 +51,7 @@ class BlowupLocalData:
     """
 
     params: ModuliParams
+    conic: Conic
     slope: QuadVal
     h_value: QuadVal
     v0_sq: QuadVal
@@ -106,6 +108,7 @@ def blowup_data(p: ModuliParams, dps: int = 50) -> BlowupLocalData:
             v0p = -v0p
     return BlowupLocalData(
         params=p,
+        conic=conic,
         slope=slope,
         h_value=h,
         v0_sq=v0_sq,
@@ -235,7 +238,7 @@ def regulator_h4(
     dps = precision + 15
     d = blowup_data(params, dps)
 
-    p1, p2, p3, p4, p5, p6 = humbert5_coeffs(params)
+    p1, p2, p3, p4, p5, p6 = d.conic.p
     # A = p1 = 4 a1 a2 a3 (a1 - a2) never vanishes on valid moduli
     A, B, C = p1, p4 * a2q + p5, p2 * a2q * a2q + p3 + p6 * a2q
     disc = B * B - 4 * A * C

@@ -273,13 +273,6 @@ def reduce_fd(z: UHPoint) -> tuple[UHPoint, tuple]:
         return out, ((a, b), (c, d))
 
 
-def apply_matrix(m: tuple, z: UHPoint) -> UHPoint:
-    (a, b), (c, d) = m
-    with workdps(max(z.re.dps, 30)):
-        w = (a * z.as_mpc() + b) / (c * z.as_mpc() + d)
-        return UHPoint(BigReal(w.real, 0, z.re.dps), BigReal(w.imag, 0, z.re.dps))
-
-
 # ---------------------------------------------------------------------------
 # determinant-m enumeration (PSL2(Z) is m = 1)
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
+import math
 import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpc, mpf, workdps
 
 from mcycle.arith import (
+    _square_free_split,
     BigComplex,
     BigReal,
     QuadVal,
@@ -24,6 +26,87 @@ from mcycle.errors import (
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+
+
+def _reference_square_free_split(n: int) -> tuple[int, int]:
+    """Trial division over 2, 3, 5, 7, 9, ... while p^3 <= r and p <= the
+    bound (10^6, or 1000 above 192 bits), then a perfect-square test on the
+    remainder: the definition `_square_free_split` must reproduce."""
+    if n == 0:
+        return 1, 0
+    s, sf, r = 1, 1, abs(n)
+    limit = 1_000_000 if r.bit_length() <= 192 else 1000
+    p = 2
+    while p * p * p <= r and p <= limit:
+        if r % p == 0:
+            k = 0
+            while r % p == 0:
+                r //= p
+                k += 1
+            s *= p ** (k // 2)
+            if k % 2:
+                sf *= p
+        p += 1 if p == 2 else 2
+    rt = math.isqrt(r)
+    if rt * rt == r:
+        s *= rt
+    else:
+        sf *= r
+    return s, sf
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
+# the primes on either side of the sieve's block edges (multiples of 2^14),
+# of the trial bounds 1000 and 10^6, and past the bound
+EDGE_PRIMES = (2, 3, 16381, 16411, 32749, 32771, 999389, 999431,
+               997, 1009, 999983, 1000003, 10**9 + 7)
+
+
+class TestSquareFreeSplit:
+    def test_edge_primes_are_prime(self):
+        assert all(_is_prime(p) for p in EDGE_PRIMES[:-1])
+
+    def test_constructed_cases(self):
+        cases = [0, 1, -1, 4, -4, 8, 12, -12, 2**40, 3**21, 6**10 * 7,
+                 997**2 * 1009**3, 2 * 999983**2 * 1000003**2]
+        for p in EDGE_PRIMES:
+            cases += [p * p, p**3, -3 * p * p]
+            cases += [p * p * q for q in (2, 997, 1000003)]
+        for n in cases:
+            assert _square_free_split(n) == _reference_square_free_split(n), n
+
+    def test_192_and_193_bits(self):
+        rng = random.Random(192)
+        cases = []
+        for bits in (192, 193):
+            for sq in (997, 1009, 999983, 1000003):
+                lo = -(-(1 << (bits - 1)) // (sq * sq))
+                hi = ((1 << bits) - 1) // (sq * sq)
+                cases.append(sq * sq * rng.randint(lo, hi))
+            cases += [(1 << (bits - 1)) + 1, (1 << bits) - 1]
+        assert {n.bit_length() for n in cases} == {192, 193}
+        for n in cases:
+            assert _square_free_split(n) == _reference_square_free_split(n), n
+        # above 192 bits the square of a prime past 1000 stays in the radicand
+        big = 1009**2 * ((1 << 180) + 7)
+        s, m = _square_free_split(big)
+        assert big.bit_length() > 192 and m % 1009**2 == 0 and s * s * m == big
+
+    @given(base=st.integers(min_value=-(2**40), max_value=2**40),
+           sq=st.sampled_from((1, 2, 997, 1009, 16381, 16411, 999983, 1000003)),
+           k=st.integers(min_value=0, max_value=3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_trial_division(self, base, sq, k):
+        n = base * sq**k
+        if n.bit_length() > 64:  # keep the slow reference to a few calls
+            n = base
+        assert _square_free_split(n) == _reference_square_free_split(n)
+        s, m = _square_free_split(n)
+        assert s * s * m == abs(n)
+
 
 
 class TestQuadVal:
@@ -184,6 +267,56 @@ class TestBigReal:
         straddles_zero = BigReal(mpf(10) ** -30, mpf(10) ** -29, 40)
         with pytest.raises(InsufficientPrecision):
             straddles_zero.log()
+
+
+def _reference_digits(x) -> int:
+    """`digits` as floor(log10(|val| / err)) taken at the full `dps`."""
+    if x.err == 0:
+        return x.dps
+    if x.val == 0:
+        return 0
+    with workdps(x.dps):
+        q = abs(x.val) / x.err
+        return 0 if q <= 1 else int(mp.floor(mp.log10(q)))
+
+
+class TestDigits:
+    @pytest.mark.parametrize("dps, ks, js", [
+        (16, (-5, 0, 1, 2, 15, 16, 17, 300), (1, 10, 30, 50, 53, 54, 60, 100)),
+        (50, (-5, 0, 1, 2, 49, 50, 51, 1000), (1, 30, 100, 160, 166, 170, 200, 300)),
+        (1015, (0, 1, 1014, 1015, 5000), (1, 100, 3000, 3370, 3375, 3400, 4000)),
+    ])
+    def test_matches_full_precision_log_near_powers_of_ten(self, dps, ks, js):
+        # q = 10^k (1 +- 2^-j): the short log lands within 1e-9 of k for
+        # large j, and q rounds to 10^k itself once 2^-j is below one ulp
+        for k in ks:
+            for j in js:
+                for sgn in (1, -1):
+                    with workdps(dps + 20):
+                        q = mpf(10) ** k * (1 + sgn * mpf(2) ** -j)
+                        err = mpf(3) ** -5
+                        vals = (BigReal(q, 1, dps), BigReal(-q * err, err, dps),
+                                BigComplex(mpc(q * err, q * err), err, dps))
+                    for x in vals:
+                        assert x.digits == _reference_digits(x), (dps, k, j, sgn)
+
+    def test_zero_err_zero_val_and_small_ratio(self):
+        for dps in (16, 50, 1015):
+            assert BigReal(mp.pi, 0, dps).digits == dps
+            assert BigReal(0, mpf(10) ** -5, dps).digits == 0
+            assert BigComplex(0, 1, dps).digits == 0
+            assert BigReal(1, 1, dps).digits == 0  # q = 1
+            assert BigReal(-1, 3, dps).digits == 0  # q < 1
+            assert BigReal(mpf("10.5"), 1, dps).digits == 1
+
+    def test_random_ratios(self):
+        rng = random.Random(16)
+        for dps in (16, 50, 1015):
+            for _ in range(60):
+                with workdps(dps):
+                    x = BigReal(mpf(rng.random()) * mpf(10) ** rng.randint(-40, 40),
+                                mpf(rng.random()) * mpf(10) ** rng.randint(-60, 5), dps)
+                assert x.digits == _reference_digits(x)
 
 
 class TestBigComplex:

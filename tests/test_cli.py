@@ -4,6 +4,7 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mcycle.cli import main
 
@@ -60,6 +61,7 @@ def test_greens_q_order_flag_exits_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--q-order", "2"])
         assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "UsageError"
 
 
 def test_missing_file_exits_1(capsys):
@@ -308,3 +310,95 @@ def test_negative_rationals_as_separate_arguments(capsys):
     code, doc = run_cli(capsys, "greens", "eval", "--z1", "-1/2,2",
                         "--z2", "1/3,8/5", "--bound", "20")
     assert code == 0 and "greens" in doc
+
+
+def test_reused_parser_follows_env_precision(capsys, monkeypatch):
+    # main keeps one parser per default precision; a changed
+    # MCYCLE_PRECISION applies to the next call, in either order
+    argv = ["regulator", "--a1", "2", "--a3", "3"]
+    seen = []
+    for prec in ("23", "31", "23"):
+        monkeypatch.setenv("MCYCLE_PRECISION", prec)
+        code, doc = run_cli(capsys, *argv)
+        assert code == 0
+        seen.append((doc["meta"]["settings"]["precision"], doc["result"]["precision"]))
+    assert seen == [(23, 23), (31, 31), (23, 23)]
+
+
+_D = json.dumps({"a": "1", "b": "0", "phi": {"u": "0", "v": "0", "disc": -4}})
+# small valid commands; {pairs}, {pp} and {boundary} name JSON files
+_FUZZ_TEMPLATES = (
+    ["config", "--params", "2,3,5"],
+    ["humbert", "--params", "2,6,3", "--check", "4"],
+    ["conic", "--params", "2,3,5", "--method", "det"],
+    ["cycle", "--params", "2,3,5", "--precision", "20"],
+    ["regulator", "--a1", "2", "--a3", "3", "--precision", "20"],
+    ["regulator-sweep", "--pairs", "{pairs}", "--precision", "20"],
+    ["ns", "pair", "--d1", _D, "--d2", _D],
+    ["ns", "humbert-norm", "--d", _D, "--rank", "2"],
+    ["ns", "cm-cycle", "--disc", "-4", "--precision", "20"],
+    ["greens", "eval", "--k", "2", "--z1", "0,2", "--z2", "1/2,2", "--bound", "20"],
+    ["greens", "hecke", "--m", "2", "--z1", "0,2", "--z2", "1/2,2", "--bound", "20"],
+    ["greens", "combo", "--pp", "{pp}", "--j", "1", "--z1", "0,2", "--z2", "1/2,2",
+     "--bound", "20"],
+    ["greens", "cross-check", "--a1", "2", "--a3", "3", "--precision", "20",
+     "--boundary", "{boundary}", "--y", "0,2", "--bound", "20"],
+    ["bw-cases", "--delta", "5"],
+    ["hecke-components", "--delta", "5"],
+)
+# junk tokens. Left out: -h/--help (help text is the one non-JSON output)
+# and --adaptive (at the CLI's max_bound it runs for seconds)
+_FUZZ_JUNK = (
+    "", "x", "-", "--", "--bogus", "--precision", "--params", "--bound", "--tol",
+    "0", "1", "2", "-1", "-7", "17", "1/0", "0/0", "1e999", "nan", "inf", "-inf",
+    "0.5", "1,2", ",", "0,0", "0,-1", "1/2,2", "x,1", "1,2,3", "2,2,2", "1,0,2",
+    "2,3,x", "[1]", "{}", "null", '{"a": "1"}', '{"a": "1", "b": "0", "phi": {}}',
+    '{"a": "1", "b": "0", "phi": {"u": "0", "v": "0", "disc": 4}}',
+    "{pairs}", "{pp}", "{boundary}", "/nonexistent.json",
+)
+_FUZZ_FILES = {
+    "pairs": ('[["2", "3"]]', '[["x", "3"], ["2"]]', "{}", "[1, 2]", '"2,3"',
+              "not json", "[[null, 3]]", '[["1/0", "3"]]', "[[[1], [2]]]", "[]", ""),
+    "pp": ('{"coeffs": {"1": "1"}}', "{}", '{"coeffs": []}', '{"coeffs": {"x": "1"}}',
+           '{"coeffs": {"1": null}}', '{"coeffs": {"0": "1"}}', '{"coeffs": {"-1": "1"}}',
+           "[]", "null", "not json", '{"coeffs": {"1": "1/0"}}'),
+    "boundary": ('{"points": [{"tau": "1/3,8/5", "a": "1"}]}', '{"points": []}',
+                 '{"points": [{"tau": "0,-1", "a": "1"}]}',
+                 '{"points": [{"tau": "x", "a": "1"}]}', '{"points": [1]}',
+                 '{"points": null}', "[]", "not json",
+                 '{"points": [{"tau": "1/3,8/5", "a": "x"}]}'),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_input_gives_one_json_document(tmp_path, capsys, data):
+    argv = list(data.draw(st.sampled_from(_FUZZ_TEMPLATES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(argv)))
+        how = data.draw(st.sampled_from(("replace", "delete", "insert")))
+        junk = data.draw(st.sampled_from(_FUZZ_JUNK))
+        if how == "insert" or i == len(argv):
+            argv.insert(i, junk)
+        elif how == "replace":
+            argv[i] = junk
+        else:
+            del argv[i]
+    files = {}
+    for name, contents in _FUZZ_FILES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(data.draw(st.sampled_from(contents)))
+        files[name] = str(path)
+    argv = [a.format(**files) if a.startswith("{") and a[1:-1] in files else a
+            for a in argv]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), (argv, code)
+    doc = json.loads(out)  # exactly one document: trailing text fails here
+    assert isinstance(doc, dict)
+    assert ("error" in doc) == (code != 0), (argv, code, doc)

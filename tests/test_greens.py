@@ -23,7 +23,6 @@ from mcycle.greens import (
     _ExactSum,
     _green_levels,
     _q_tables,
-    apply_matrix,
     cross_check,
     green_det_m_direct,
     green_k,
@@ -36,6 +35,13 @@ from mcycle.greens import (
 )
 
 POL = TruncationPolicy(matrix_bound=150)
+
+
+def apply_matrix(m: tuple, z: UHPoint) -> UHPoint:
+    (a, b), (c, d) = m
+    with workdps(max(z.re.dps, 30)):
+        w = (a * z.as_mpc() + b) / (c * z.as_mpc() + d)
+        return UHPoint(BigReal(w.real, 0, z.re.dps), BigReal(w.imag, 0, z.re.dps))
 
 
 def val(g: GreensValue) -> float:
